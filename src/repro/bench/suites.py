@@ -2,10 +2,10 @@
 
 Each suite is a callable that performs a fixed amount of work and
 reports how much it did (so the harness can derive a throughput); the
-harness owns all timing.  The suites mirror the pytest microbenchmarks
-in ``benchmarks/bench_micro.py`` — per-operation machine paths, the full
-event loop, and a small parallel sweep — but are runnable without
-pytest so CI and developers get one ``coma-sim bench`` entry point.
+harness owns all timing.  The suites cover the per-operation machine
+paths, the full event loop (bare and with each observer attached) and a
+small parallel sweep — the one simulator microbenchmark harness, behind
+``coma-sim bench``.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def _span_overhead(quick: bool, jobs: int) -> dict:
     """The event-loop suite with a span-emitting attribution sink
     attached — its wall time against ``event_loop``'s bounds the cost of
     building a span tree per memory access.  ``event_loop`` itself (no
-    sink) is the zero-overhead-when-off reference: spans stay ``None``
-    there, so a regression in *that* suite after a spans change means
+    sink) is the zero-overhead-when-off reference: ``machine.trace``
+    stays ``None`` there, so a regression in *that* suite after a spans change means
     the off path grew."""
     from repro.obs.spans import StallAttribution
 

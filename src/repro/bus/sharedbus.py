@@ -30,11 +30,9 @@ class SharedBus:
         self.tx_count: dict[TxClass, int] = {c: 0 for c in TxClass}
         self.tx_bytes: dict[TxClass, int] = {c: 0 for c in TxClass}
         #: Optional :class:`repro.obs.sink.TraceSink`; None keeps
-        #: :meth:`record` allocation-free (a single ``if`` per call).
+        #: :meth:`record` and :meth:`phase` allocation-free (a single
+        #: ``if`` per call).
         self.trace = None
-        #: Optional :class:`repro.obs.metrics.BusInstruments`; same
-        #: ``None``-by-default discipline (one ``if`` per call site).
-        self.metrics = None
 
     def phase(self, now: int, bg: bool = False) -> int:
         """Occupy the bus for one phase starting at or after ``now``.
@@ -58,8 +56,8 @@ class SharedBus:
             r.next_free = start + busy
         r.busy_ns += busy
         r.uses += 1
-        if self.metrics is not None:
-            self.metrics.phase(start - now, busy)
+        if self.trace is not None:
+            self.trace.bus_phase(self.name, start - now, busy)
         return start + self._phase_ns
 
     def arb_start(self, completion: int) -> int:
@@ -86,8 +84,6 @@ class SharedBus:
         if self.trace is not None:
             self.trace.bus(now, self.name, kind.name, cls.value,
                            nbytes, origin, line)
-        if self.metrics is not None:
-            self.metrics.record(cls.value, nbytes)
 
     @property
     def total_bytes(self) -> int:

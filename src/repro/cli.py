@@ -19,7 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.runner import RunSpec, run_spec
+from repro.common.errors import ConfigError
+from repro.experiments.runner import RunSpec, check_spec, run_spec
 from repro.stats.report import render_run_report
 from repro.workloads.registry import paper_workloads, workload_names
 
@@ -53,8 +54,19 @@ def _recording(args: argparse.Namespace, source: str):
         print(rec.summary(), file=sys.stderr)
 
 
+def _valid(spec: RunSpec) -> RunSpec:
+    """``spec``, or exit 2 with a one-line ``error:`` message when no
+    simulation can run it (bad memory pressure, non-positive scale, ...)."""
+    try:
+        check_spec(spec)
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return spec
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = RunSpec(
+    spec = _valid(RunSpec(
         workload=args.workload,
         machine=args.machine,
         procs_per_node=args.procs_per_node,
@@ -65,7 +77,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         dram_bandwidth_factor=args.dram_bandwidth,
         bus_bandwidth_factor=args.bus_bandwidth,
         inclusive=not args.non_inclusive,
-    )
+    ))
     with _recording(args, "run"):
         result = run_spec(spec, use_cache=not args.no_cache)
     print(render_run_report(result))
@@ -73,14 +85,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _trace_spec(args: argparse.Namespace) -> RunSpec:
-    return RunSpec(
+    return _valid(RunSpec(
         workload=args.workload,
         machine=args.machine,
         procs_per_node=args.procs_per_node,
         memory_pressure=args.memory_pressure,
         scale=args.scale,
         seed=args.seed,
-    )
+    ))
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -90,6 +102,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import ChromeTraceSink, FlightRecorder, JsonlTraceSink, TeeSink
     from repro.obs.timeline import TimelineSampler
 
+    spec = _trace_spec(args)
     sinks = []
     jsonl_path = args.jsonl
     if jsonl_path is None and args.chrome is None:
@@ -109,7 +122,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             s.wants_spans = True
 
     tl = TimelineSampler() if args.timeline else None
-    sim = build_simulation(_trace_spec(args))
+    sim = build_simulation(spec)
     sim.machine.set_trace(TeeSink(*sinks))
     if tl is not None:
         # Sample every 500 kernel events: dense enough for short traced
@@ -302,8 +315,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     ana = CoverageAnalysis(n_nodes=args.nodes)
     for wl in args.workloads:
         for mp in args.memory_pressure:
-            spec = RunSpec(workload=wl, machine=args.machine,
-                           memory_pressure=mp, scale=args.scale)
+            spec = _valid(RunSpec(workload=wl, machine=args.machine,
+                                  memory_pressure=mp, scale=args.scale))
             sim = build_simulation(spec)
             cov = CoverageMap()
             cov.attach_to(sim)
@@ -622,12 +635,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.experiments.runner import RunSpec, build_simulation
     from repro.stats.profiler import SharingProfiler, format_profile
 
-    spec = RunSpec(
+    spec = _valid(RunSpec(
         workload=args.workload,
         procs_per_node=args.procs_per_node,
         memory_pressure=args.memory_pressure,
         scale=args.scale,
-    )
+    ))
     prof = SharingProfiler()
     sim = build_simulation(spec)
     sim.attach(prof, every=args.every)
@@ -1209,7 +1222,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv = sub.add_parser(
         "coverage",
         help="protocol-table coverage: reachable cells vs cells the "
-        "workloads exercise (dead cells, gaps, per-workload %)",
+        "workloads exercise (dead cells, gaps, per-workload %%)",
     )
     cv.add_argument("--workloads", nargs="*", metavar="WL",
                     default=["synth_migratory", "synth_producer_consumer",

@@ -60,13 +60,6 @@ class HierarchicalComaMachine(ComaMachine):
         for gb in self.group_buses:
             gb.trace = sink
 
-    def set_metrics(self, registry) -> None:
-        super().set_metrics(registry)
-        from repro.obs.metrics import BusInstruments
-
-        for gb in self.group_buses:
-            gb.metrics = BusInstruments(registry, gb.name)
-
     # ------------------------------------------------------------------
     def group_of(self, node_id: int) -> int:
         return node_id // self.nodes_per_group
@@ -101,58 +94,58 @@ class HierarchicalComaMachine(ComaMachine):
     def _remote_path(self, local: ComaNode, owner: ComaNode, now: int) -> int:
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
-        spans = self.spans
+        trace = self.trace
         lg = self.group_buses[self.group_of(local.id)]
         s = local.nc.acquire(now, nc_busy, self._bg)
         t = lg.phase(s + nc_ns, self._bg)  # group bus request
-        if spans is not None:
-            spans.phase("nc_out", s + nc_ns)
-            spans.phase("bus_arb", lg.arb_start(t))
-            spans.phase("gbus_req", t)
+        if trace is not None:
+            trace.phase("nc_out", s + nc_ns)
+            trace.phase("bus_arb", lg.arb_start(t))
+            trace.phase("gbus_req", t)
         if self.same_group(local, owner):
             # Snooped within the group: owner answers over the group bus.
             s = owner.nc.acquire(t, nc_busy, self._bg)
             t = s + nc_ns
             s = owner.dram.acquire(t, self._t_dram_busy, self._bg)
             t = lg.phase(s + self._t_dram_lat, self._bg)
-            if spans is not None:
-                spans.phase("remote_am", s + self._t_dram_lat)
-                spans.phase("bus_arb", lg.arb_start(t))
-                spans.phase("gbus_reply", t)
+            if trace is not None:
+                trace.phase("remote_am", s + self._t_dram_lat)
+                trace.phase("bus_arb", lg.arb_start(t))
+                trace.phase("gbus_reply", t)
         else:
             # Group directory forwards over the top bus to the owner group.
             og = self.group_buses[self.group_of(owner.id)]
             t += nc_ns                         # local group directory lookup
-            if spans is not None:
-                spans.phase("dir_lookup", t)
+            if trace is not None:
+                trace.phase("dir_lookup", t)
             t = self.bus.phase(t, self._bg)              # top bus request
-            if spans is not None:
-                spans.phase("bus_arb", self.bus.arb_start(t))
-                spans.phase("tbus_req", t)
+            if trace is not None:
+                trace.phase("bus_arb", self.bus.arb_start(t))
+                trace.phase("tbus_req", t)
             t += nc_ns                         # remote group directory
-            if spans is not None:
-                spans.phase("dir_lookup", t)
+            if trace is not None:
+                trace.phase("dir_lookup", t)
             t = og.phase(t, self._bg)                    # owner group bus
-            if spans is not None:
-                spans.phase("bus_arb", og.arb_start(t))
-                spans.phase("gbus_req", t)
+            if trace is not None:
+                trace.phase("bus_arb", og.arb_start(t))
+                trace.phase("gbus_req", t)
             s = owner.nc.acquire(t, nc_busy, self._bg)
             t = s + nc_ns
             s = owner.dram.acquire(t, self._t_dram_busy, self._bg)
             t = og.phase(s + self._t_dram_lat, self._bg)
-            if spans is not None:
-                spans.phase("remote_am", s + self._t_dram_lat)
-                spans.phase("gbus_reply", t)
+            if trace is not None:
+                trace.phase("remote_am", s + self._t_dram_lat)
+                trace.phase("gbus_reply", t)
             t = self.bus.phase(t, self._bg)              # top bus reply
-            if spans is not None:
-                spans.phase("bus_arb", self.bus.arb_start(t))
-                spans.phase("tbus_reply", t)
+            if trace is not None:
+                trace.phase("bus_arb", self.bus.arb_start(t))
+                trace.phase("tbus_reply", t)
             t = lg.phase(t + nc_ns, self._bg)            # back down the local group
-            if spans is not None:
-                spans.phase("gbus_reply", t)
+            if trace is not None:
+                trace.phase("gbus_reply", t)
         s = local.nc.acquire(t, nc_busy, self._bg)
-        if spans is not None:
-            spans.phase("nc_ret", s + nc_ns)
+        if trace is not None:
+            trace.phase("nc_ret", s + nc_ns)
         return s + nc_ns
 
     def _upgrade_broadcast(self, node: ComaNode, line: int, t: int) -> int:

@@ -135,45 +135,24 @@ class ComaMachine:
         #: resource occupancy it causes goes to the background ports so
         #: demand accesses are never queued behind it (read bypass).
         self._bg = False
-        #: Optional :class:`repro.obs.sink.TraceSink`.  None (the default)
-        #: keeps every emission site a single ``if`` with no allocations;
-        #: attach one with :meth:`set_trace`.
+        #: Optional :class:`repro.obs.sink.TraceSink`: the one observation
+        #: slot (tracing, metrics and span checkpoints all ride it).  None
+        #: (the default) keeps every emission site a single ``if`` with no
+        #: allocations; attach one with :meth:`set_trace`.
         self.trace = None
-        #: Optional :class:`repro.obs.metrics.MachineInstruments`; same
-        #: ``None``-by-default, one-``if``-per-site discipline as tracing.
-        #: Attach a registry with :meth:`set_metrics`.
-        self.metrics = None
-        #: Optional :class:`repro.obs.spans.SpanBuilder`.  Installed by
-        #: :meth:`set_trace` only when the sink opts in (``wants_spans``),
-        #: so span construction follows the same zero-overhead-when-off
-        #: discipline: every checkpoint site is one ``if x is not None``.
-        self.spans = None
 
     def set_trace(self, sink) -> None:
         """Attach a trace sink to the machine and its interconnect.
 
-        A sink with a truthy ``wants_spans`` additionally gets a
+        A sink with a truthy ``wants_spans`` is reached through a
         :class:`~repro.obs.spans.SpanBuilder` so accesses emit causal
         span trees; re-attaching the same sink (a tee that grew a
         span consumer) keeps the builder's id counters.
         """
-        self.trace = sink
+        from repro.obs.spans import span_filter
+
+        self.trace = span_filter(self.trace, sink)
         self.bus.trace = sink
-        if sink is not None and getattr(sink, "wants_spans", False):
-            if self.spans is None or self.spans.sink is not sink:
-                from repro.obs.spans import SpanBuilder
-
-                self.spans = SpanBuilder(sink)
-        else:
-            self.spans = None
-
-    def set_metrics(self, registry) -> None:
-        """Wire a :class:`repro.obs.metrics.MetricsRegistry` into the
-        machine and its interconnect (pre-binding the hot-path children)."""
-        from repro.obs.metrics import BusInstruments, MachineInstruments
-
-        self.metrics = MachineInstruments(registry, len(self.nodes))
-        self.bus.metrics = BusInstruments(registry, self.bus.name)
 
     # ------------------------------------------------------------------
     # processor-facing operations
@@ -189,11 +168,9 @@ class ComaMachine:
         c = self.counters
         c.reads += 1
         trace = self.trace
-        metrics = self.metrics
-        spans = self.spans
         line = addr >> self._shift
-        if spans is not None:
-            spans.begin(now, proc, "r", line, addr)
+        if trace is not None:
+            trace.begin(now, proc, "r", line, addr)
         if (addr // self._page_size) not in self._page_home:
             self._materialize_page(addr, self.nodes[self._node_of[proc]], now)
 
@@ -213,11 +190,7 @@ class ComaMachine:
             done = now + self._t_l1
             if trace is not None:
                 trace.access(now, proc, "r", line, LEVEL_L1, done - now,
-                                  addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_L1, done - now)
-            if spans is not None:
-                spans.end(done, LEVEL_L1)
+                             addr)
             return done, LEVEL_L1
 
         node = self.nodes[self._node_of[proc]]
@@ -255,13 +228,9 @@ class ComaMachine:
                 self.l1s[proc].fill(line)
             done = start + self._t_slc
             if trace is not None:
+                trace.phase("slc_wait", start)
                 trace.access(now, proc, "r", line, LEVEL_SLC, done - now,
-                                  addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_SLC, done - now)
-            if spans is not None:
-                spans.phase("slc_wait", start)
-                spans.end(done, LEVEL_SLC)
+                             addr)
             return done, LEVEL_SLC
 
         # Node level: the attraction memory (or the overflow buffer).
@@ -277,12 +246,7 @@ class ComaMachine:
             self._fill_hierarchy(proc, node, line, way)
             if trace is not None:
                 trace.access(now, proc, "r", line, LEVEL_AM, done - now,
-                                  addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_AM, done - now)
-                metrics.node_hit(node.id)
-            if spans is not None:
-                spans.end(done, LEVEL_AM)
+                             addr)
             return done, LEVEL_AM
         if line in node.overflow:
             done = self._am_access(node, now)
@@ -291,12 +255,7 @@ class ComaMachine:
             c.overflow_read_hits += 1
             if trace is not None:
                 trace.access(now, proc, "r", line, LEVEL_AM, done - now,
-                                  addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_AM, done - now)
-                metrics.node_hit(node.id)
-            if spans is not None:
-                spans.end(done, LEVEL_AM)
+                             addr)
             return done, LEVEL_AM
         if not self._inclusive:
             sr = node.slc_resident.get(line)
@@ -310,18 +269,11 @@ class ComaMachine:
                 self._fill_slc_resident(proc, node, line, sr)
                 if trace is not None:
                     trace.access(now, proc, "r", line, LEVEL_AM, done - now,
-                                  addr)
-                if metrics is not None:
-                    metrics.access("r", LEVEL_AM, done - now)
-                    metrics.node_hit(node.id)
-                if spans is not None:
-                    spans.end(done, LEVEL_AM)
+                                 addr)
                 return done, LEVEL_AM
 
         # Read node miss.
         c.node_read_misses += 1
-        if metrics is not None:
-            metrics.node_miss(node.id)
         self._classify_read_miss(node, line)
         if shadow is not None:
             shadow.access(line)
@@ -339,11 +291,7 @@ class ComaMachine:
             done = t + self._t_remote
             if trace is not None:
                 trace.access(now, proc, "r", line, LEVEL_REMOTE,
-                                  done - now, addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_REMOTE, done - now)
-            if spans is not None:
-                spans.end(done, LEVEL_REMOTE)
+                             done - now, addr)
             return done, LEVEL_REMOTE
         am.fill_way(way, line, SHARED)
         node.note_present(line)
@@ -354,13 +302,9 @@ class ComaMachine:
         done = s + self._t_dram_lat + self._t_remote
         self._fill_hierarchy(proc, node, line, way)
         if trace is not None:
+            trace.phase("fill_dram", s + self._t_dram_lat)
             trace.access(now, proc, "r", line, LEVEL_REMOTE,
-                                  done - now, addr)
-        if metrics is not None:
-            metrics.access("r", LEVEL_REMOTE, done - now)
-        if spans is not None:
-            spans.phase("fill_dram", s + self._t_dram_lat)
-            spans.end(done, LEVEL_REMOTE)
+                         done - now, addr)
         return done, LEVEL_REMOTE
 
     def write(self, proc: int, addr: int, now: int) -> int:
@@ -371,21 +315,17 @@ class ComaMachine:
         release is pending.
         """
         self.counters.writes += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "w", addr >> self._shift, addr)
+        trace = self.trace
+        if trace is not None:
+            trace.begin(now, proc, "w", addr >> self._shift, addr)
         self._bg = True
         try:
             done, level = self._write_access(proc, addr, now)
         finally:
             self._bg = False
-        if self.trace is not None:
-            self.trace.access(now, proc, "w", addr >> self._shift, level,
-                              done - now, addr)
-        if self.metrics is not None:
-            self.metrics.access("w", level, done - now)
-        if spans is not None:
-            spans.end(done, level)
+        if trace is not None:
+            trace.access(now, proc, "w", addr >> self._shift, level,
+                         done - now, addr)
         return done
 
     def rmw(self, proc: int, addr: int, now: int) -> tuple[int, str]:
@@ -395,33 +335,25 @@ class ComaMachine:
         ``(completion_time, level)`` for stall accounting.
         """
         self.counters.atomics += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "rmw", addr >> self._shift, addr)
+        trace = self.trace
+        if trace is not None:
+            trace.begin(now, proc, "rmw", addr >> self._shift, addr)
         done, level = self._write_access(proc, addr, now)
-        if self.trace is not None:
-            self.trace.access(now, proc, "rmw", addr >> self._shift, level,
-                              done - now, addr)
-        if self.metrics is not None:
-            self.metrics.access("rmw", level, done - now)
-        if spans is not None:
-            spans.end(done, level)
+        if trace is not None:
+            trace.access(now, proc, "rmw", addr >> self._shift, level,
+                         done - now, addr)
         return done, level
 
     def write_stalling(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         """A write the processor waits for (sequential-consistency mode)."""
         self.counters.writes += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "w", addr >> self._shift, addr)
+        trace = self.trace
+        if trace is not None:
+            trace.begin(now, proc, "w", addr >> self._shift, addr)
         done, level = self._write_access(proc, addr, now)
-        if self.trace is not None:
-            self.trace.access(now, proc, "w", addr >> self._shift, level,
-                              done - now, addr)
-        if self.metrics is not None:
-            self.metrics.access("w", level, done - now)
-        if spans is not None:
-            spans.end(done, level)
+        if trace is not None:
+            trace.access(now, proc, "w", addr >> self._shift, level,
+                         done - now, addr)
         return done, level
 
     # ------------------------------------------------------------------
@@ -434,7 +366,6 @@ class ComaMachine:
         c = self.counters
         line = addr >> self._shift
         trace = self.trace
-        spans = self.spans
         if (addr // self._page_size) not in self._page_home:
             self._materialize_page(addr, self.nodes[self._node_of[proc]], now)
 
@@ -482,13 +413,12 @@ class ComaMachine:
             c.upgrades += 1
             s = node.nc.acquire(now, self._t_nc_busy, self._bg)
             t = self._upgrade_broadcast(node, line, s + self._t_nc)
-            if spans is not None:
-                spans.phase("nc_out", s + self._t_nc)
-                spans.phase("upgrade_bus", t)
             self._invalidate_others(line, node)
             if trace is not None:
+                trace.phase("nc_out", s + self._t_nc)
+                trace.phase("upgrade_bus", t)
                 trace.transition(t, node.id, line, "upgrade",
-                                      state_name(local_state), "E")
+                                 state_name(local_state), "E")
             if way >= 0:
                 am.state_a[way] = EXCLUSIVE
                 am.tick += 1
@@ -510,8 +440,6 @@ class ComaMachine:
         # Write node miss: read-exclusive on the bus.
         c.node_write_misses += 1
         c.read_exclusive += 1
-        if self.metrics is not None:
-            self.metrics.node_miss(node.id)
         owner = self.nodes[info.owner_node]
         self._record_remote(TxKind.READ_EXCL, node, owner, line)
         t = self._remote_path(node, owner, now)
@@ -531,8 +459,8 @@ class ComaMachine:
         t = s + self._t_dram_lat
         self._fill_hierarchy(proc, node, line, way)
         self.slcs[proc].mark_dirty(line)
-        if spans is not None:
-            spans.phase("fill_dram", t)
+        if trace is not None:
+            trace.phase("fill_dram", t)
         return t + self._t_remote, LEVEL_REMOTE
 
     @hotpath
@@ -817,15 +745,10 @@ class ComaMachine:
         node.dram.acquire(self.now, self._t_dram_busy, self._bg)
         self.counters.slc_owner_reinserts += 1
 
-    def _ensure_page(self, addr: int, node: ComaNode, now: int) -> None:
+    def _materialize_page(self, addr: int, node: ComaNode, now: int) -> None:
         """Materialize the page on first touch: its lines appear in the
         toucher's AM in Exclusive state, instantly and with no processor
         delay (paper section 3)."""
-        if (addr // self._page_size) in self._page_home:
-            return
-        self._materialize_page(addr, node, now)
-
-    def _materialize_page(self, addr: int, node: ComaNode, now: int) -> None:
         page = self.space.page_of(addr)
         self.space.ensure_page(addr, node.id)
         self.counters.pages_allocated += 1
@@ -945,27 +868,27 @@ class ComaMachine:
         """
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
-        spans = self.spans
+        trace = self.trace
         if self._bg:
             nc = local.nc
             bus = self.bus
             s = nc.acquire(now, nc_busy, True)
             t = bus.phase(s + nc_ns, True)
-            if spans is not None:
-                spans.phase("nc_out", s + nc_ns)
-                spans.phase("bus_arb", bus.arb_start(t))
-                spans.phase("bus_req", t)
+            if trace is not None:
+                trace.phase("nc_out", s + nc_ns)
+                trace.phase("bus_arb", bus.arb_start(t))
+                trace.phase("bus_req", t)
             s = owner.nc.acquire(t, nc_busy, True)
             t = s + nc_ns
             s = owner.dram.acquire(t, self._t_dram_busy, True)
             t = bus.phase(s + self._t_dram_lat, True)
-            if spans is not None:
-                spans.phase("remote_am", s + self._t_dram_lat)
-                spans.phase("bus_arb", bus.arb_start(t))
-                spans.phase("bus_reply", t)
+            if trace is not None:
+                trace.phase("remote_am", s + self._t_dram_lat)
+                trace.phase("bus_arb", bus.arb_start(t))
+                trace.phase("bus_reply", t)
             s = nc.acquire(t, nc_busy, True)
-            if spans is not None:
-                spans.phase("nc_ret", s + nc_ns)
+            if trace is not None:
+                trace.phase("nc_ret", s + nc_ns)
             return s + nc_ns
         lnc = local.nc
         onc = owner.nc
@@ -974,27 +897,24 @@ class ComaMachine:
         br = bus.resource
         bus_busy = bus._busy_ns
         bus_phase = bus._phase_ns
-        bm = bus.metrics
         # local NC out
         s = lnc.next_free
         if s < now:
             s = now
         lnc.next_free = s + nc_busy
         t = s + nc_ns
-        if spans is not None:
-            spans.phase("nc_out", t)
+        if trace is not None:
+            trace.phase("nc_out", t)
         # bus request phase
         b = br.next_free
         if b < t:
             b = t
         br.next_free = b + bus_busy
-        if bm is not None:
-            bm.phase(b - t, bus_busy)
-        if spans is not None:
-            spans.phase("bus_arb", b)
+        if trace is not None:
+            trace.bus_phase(bus.name, b - t, bus_busy)
+            trace.phase("bus_arb", b)
+            trace.phase("bus_req", b + bus_phase)
         t = b + bus_phase
-        if spans is not None:
-            spans.phase("bus_req", t)
         # owner NC in
         s = onc.next_free
         if s < t:
@@ -1011,8 +931,8 @@ class ComaMachine:
         odram.busy_ns += self._t_dram_busy
         odram.uses += 1
         t = s + self._t_dram_lat
-        if spans is not None:
-            spans.phase("remote_am", t)
+        if trace is not None:
+            trace.phase("remote_am", t)
         # bus reply phase
         b = br.next_free
         if b < t:
@@ -1020,13 +940,11 @@ class ComaMachine:
         br.next_free = b + bus_busy
         br.busy_ns += 2 * bus_busy
         br.uses += 2
-        if bm is not None:
-            bm.phase(b - t, bus_busy)
-        if spans is not None:
-            spans.phase("bus_arb", b)
+        if trace is not None:
+            trace.bus_phase(bus.name, b - t, bus_busy)
+            trace.phase("bus_arb", b)
+            trace.phase("bus_reply", b + bus_phase)
         t = b + bus_phase
-        if spans is not None:
-            spans.phase("bus_reply", t)
         # local NC return
         s = lnc.next_free
         if s < t:
@@ -1034,8 +952,8 @@ class ComaMachine:
         lnc.next_free = s + nc_busy
         lnc.busy_ns += 2 * nc_busy
         lnc.uses += 2
-        if spans is not None:
-            spans.phase("nc_ret", s + nc_ns)
+        if trace is not None:
+            trace.phase("nc_ret", s + nc_ns)
         return s + nc_ns
 
     def _classify_read_miss(self, node: ComaNode, line: int) -> None:
@@ -1138,10 +1056,8 @@ class ComaMachine:
     # ------------------------------------------------------------------
     def owned_line_count(self) -> int:
         """Total owner lines machine-wide (equals materialized lines)."""
-        from repro.coma.states import is_owning as _owning
-
         total = 0
         for n in self.nodes:
             total += n.owned_lines_in_am() + len(n.overflow)
-            total += sum(1 for sr in n.slc_resident.values() if _owning(sr[1]))
+            total += sum(1 for sr in n.slc_resident.values() if is_owning(sr[1]))
         return total

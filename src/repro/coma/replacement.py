@@ -91,8 +91,6 @@ class ReplacementEngine:
             self.m.counters.uncached_reads += 1
             if self.m.trace is not None:
                 self.m.trace.replacement(now, node.id, -1, line, "uncached", 0)
-            if self.m.metrics is not None:
-                self.m.metrics.relocation("uncached", 0)
             return None
         # Mandatory and nowhere to go: park the victim in overflow.
         self._park_in_overflow(node, victim)
@@ -132,10 +130,7 @@ class ReplacementEngine:
             m.counters.replace_to_slc += 1
             if m.trace is not None:
                 m.trace.replacement(now, src.id, src.id, line, "to_slc", hops)
-            if m.metrics is not None:
-                m.metrics.relocation("to_slc", hops)
-            if m.spans is not None:
-                m.spans.note_relocation()
+                m.trace.note_relocation()
             return True
 
         # 1. A sharer node can take over ownership without a data transfer:
@@ -164,10 +159,7 @@ class ReplacementEngine:
                 m.trace.replacement(now, src.id, dst_id, line, "to_sharer", hops)
                 m.trace.transition(now, dst_id, line, "inject", "S",
                                    state_name(new_state))
-            if m.metrics is not None:
-                m.metrics.relocation("to_sharer", hops)
-            if m.spans is not None:
-                m.spans.note_relocation()
+                m.trace.note_relocation()
             m.strip_node_copy(src, src_way, REMOVED_EVICTED)
             return True
 
@@ -255,10 +247,7 @@ class ReplacementEngine:
             m.trace.replacement(now, src.id, dst.id, line, outcome, hops)
             m.trace.transition(now, dst.id, line, "inject", "I",
                                state_name(state))
-        if m.metrics is not None:
-            m.metrics.relocation(outcome, hops)
-        if m.spans is not None:
-            m.spans.note_relocation()
+            m.trace.note_relocation()
         m.strip_node_copy(src, src_way, REMOVED_EVICTED)
         dst.am.fill_way(dst_way, line, state)
         dst.note_present(line)
@@ -275,10 +264,7 @@ class ReplacementEngine:
         m.counters.overflow_parks += 1
         if m.trace is not None:
             m.trace.replacement(m.now, node.id, -1, line, "overflow_park", 0)
-        if m.metrics is not None:
-            m.metrics.relocation("overflow_park", 0)
-        if m.spans is not None:
-            m.spans.note_relocation()
+            m.trace.note_relocation()
         # The line is still present in the node (overflow), so strip only
         # the AM way, not the node-level tracking.
         m.backinvalidate_slcs(node, way)

@@ -362,25 +362,23 @@ class RunSpec:
         return replace(self, **kwargs)
 
 
-def build_simulation(spec: RunSpec) -> Simulation:
-    """Assemble workload + machine + simulator for ``spec`` (uncached)."""
-    wl = get_workload(
+def _workload(spec: RunSpec):
+    return get_workload(
         spec.workload,
         n_threads=spec.n_processors,
         scale=spec.scale,
         seed=spec.seed,
     )
-    space = AddressSpace(page_size=spec.page_size)
-    wl.allocate(space)
-    sync = SyncSpace(space, 64, wl.n_locks, wl.n_barriers)
-    working_set = space.allocated_bytes
 
+
+def _machine_config(spec: RunSpec) -> MachineConfig:
+    """The unsized machine configuration ``spec`` describes."""
     timing = TimingConfig(
         dram_bandwidth_factor=spec.dram_bandwidth_factor,
         nc_bandwidth_factor=spec.nc_bandwidth_factor,
         bus_bandwidth_factor=spec.bus_bandwidth_factor,
     )
-    config = MachineConfig(
+    return MachineConfig(
         n_processors=spec.n_processors,
         procs_per_node=spec.procs_per_node,
         page_size=spec.page_size,
@@ -394,7 +392,24 @@ def build_simulation(spec: RunSpec) -> Simulation:
         write_buffer_coalescing=spec.write_buffer_coalescing,
         seed=spec.seed,
         timing=timing,
-    ).sized_for(working_set)
+    )
+
+
+def check_spec(spec: RunSpec) -> None:
+    """Raise the :class:`ConfigError` or ``ValueError`` that
+    :func:`build_simulation` would raise for an invalid ``spec``, without
+    allocating the workload's arrays or building the machine."""
+    _workload(spec)
+    _machine_config(spec)
+
+
+def build_simulation(spec: RunSpec) -> Simulation:
+    """Assemble workload + machine + simulator for ``spec`` (uncached)."""
+    wl = _workload(spec)
+    space = AddressSpace(page_size=spec.page_size)
+    wl.allocate(space)
+    sync = SyncSpace(space, 64, wl.n_locks, wl.n_barriers)
+    config = _machine_config(spec).sized_for(space.allocated_bytes)
     if spec.machine == "coma":
         machine = ComaMachine(config, space)
     elif spec.machine == "hcoma":

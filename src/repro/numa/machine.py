@@ -62,10 +62,6 @@ class NumaMachine:
         #: Optional :class:`repro.obs.sink.TraceSink`; None (the default)
         #: keeps every emission site a single ``if`` with no allocations.
         self.trace = None
-        #: Optional :class:`repro.obs.spans.SpanBuilder`, installed by
-        #: :meth:`set_trace` only when the sink opts in (``wants_spans``)
-        #: — same zero-overhead-when-off discipline as the COMA machine.
-        self.spans = None
 
     def set_trace(self, sink) -> None:
         """Attach a trace sink to the machine and its bus.
@@ -74,15 +70,10 @@ class NumaMachine:
         observability stack (span sinks, the bounds certifier,
         ``TraceSink.attach_to``) drives the NUMA baseline unchanged.
         """
-        self.trace = sink
-        self.bus.trace = sink
-        if sink is not None and getattr(sink, "wants_spans", False):
-            if self.spans is None or self.spans.sink is not sink:
-                from repro.obs.spans import SpanBuilder
+        from repro.obs.spans import span_filter
 
-                self.spans = SpanBuilder(sink)
-        else:
-            self.spans = None
+        self.trace = span_filter(self.trace, sink)
+        self.bus.trace = sink
 
     # ------------------------------------------------------------------
     def _home_node(self, addr: int) -> int:
@@ -108,25 +99,25 @@ class NumaMachine:
 
     def _remote_access(self, local: int, home: int, now: int) -> int:
         tm = self.timing
-        spans = self.spans
+        trace = self.trace
         s = self.nc[local].acquire(now, tm.nc_busy_ns, self._bg)
         t = self.bus.phase(s + tm.nc_ns, self._bg)
-        if spans is not None:
-            spans.phase("nc_out", s + tm.nc_ns)
-            spans.phase("bus_arb", self.bus.arb_start(t))
-            spans.phase("bus_req", t)
+        if trace is not None:
+            trace.phase("nc_out", s + tm.nc_ns)
+            trace.phase("bus_arb", self.bus.arb_start(t))
+            trace.phase("bus_req", t)
         s = self.nc[home].acquire(t, tm.nc_busy_ns, self._bg)
         t = s + tm.nc_ns
         s = self.dram[home].acquire(t, tm.dram_busy_ns, self._bg)
         t = self.bus.phase(s + tm.dram_latency_ns, self._bg)
-        if spans is not None:
-            spans.phase("remote_am", s + tm.dram_latency_ns)
-            spans.phase("bus_arb", self.bus.arb_start(t))
-            spans.phase("bus_reply", t)
+        if trace is not None:
+            trace.phase("remote_am", s + tm.dram_latency_ns)
+            trace.phase("bus_arb", self.bus.arb_start(t))
+            trace.phase("bus_reply", t)
         s = self.nc[local].acquire(t, tm.nc_busy_ns, self._bg)
-        if spans is not None:
-            spans.phase("nc_ret", s + tm.nc_ns)
-            spans.phase("fill_dram", s + tm.nc_ns + tm.dram_latency_ns)
+        if trace is not None:
+            trace.phase("nc_ret", s + tm.nc_ns)
+            trace.phase("fill_dram", s + tm.nc_ns + tm.dram_latency_ns)
         return s + tm.nc_ns + tm.dram_latency_ns + tm.remote_overhead_ns
 
     # ------------------------------------------------------------------
@@ -137,17 +128,14 @@ class NumaMachine:
         line = addr >> self._shift
         node = self._node_of[proc]
         trace = self.trace
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "r", line, addr)
+        if trace is not None:
+            trace.begin(now, proc, "r", line, addr)
         self._ensure_page(addr, node)
         if self.l1s[proc].lookup(line):
             c.l1_read_hits += 1
             done = now + self.timing.l1_hit_ns
             if trace is not None:
                 trace.access(now, proc, "r", line, LEVEL_L1, done - now, addr)
-            if spans is not None:
-                spans.end(done, LEVEL_L1)
             return done, LEVEL_L1
         start = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._bg)
         if self.slcs[proc].lookup(line) is not None:
@@ -155,10 +143,8 @@ class NumaMachine:
             self.l1s[proc].fill(line)
             done = start + self.timing.slc_hit_ns
             if trace is not None:
+                trace.phase("slc_wait", start)
                 trace.access(now, proc, "r", line, LEVEL_SLC, done - now, addr)
-            if spans is not None:
-                spans.phase("slc_wait", start)
-                spans.end(done, LEVEL_SLC)
             return done, LEVEL_SLC
         home = self._home_node(addr)
         e = self.directory.entry(line)
@@ -183,52 +169,44 @@ class NumaMachine:
         self._fill(proc, line)
         if trace is not None:
             trace.access(now, proc, "r", line, level, done - now, addr)
-        if spans is not None:
-            spans.end(done, level)
         return done, level
 
     def write(self, proc: int, addr: int, now: int) -> int:
         self.counters.writes += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "w", addr >> self._shift, addr)
+        trace = self.trace
+        if trace is not None:
+            trace.begin(now, proc, "w", addr >> self._shift, addr)
         self._bg = True
         try:
             done, level = self._write_access(proc, addr, now)
         finally:
             self._bg = False
-        if self.trace is not None:
-            self.trace.access(now, proc, "w", addr >> self._shift, level,
-                              done - now, addr)
-        if spans is not None:
-            spans.end(done, level)
+        if trace is not None:
+            trace.access(now, proc, "w", addr >> self._shift, level,
+                         done - now, addr)
         return done
 
     def rmw(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         self.counters.atomics += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "rmw", addr >> self._shift, addr)
+        trace = self.trace
+        if trace is not None:
+            trace.begin(now, proc, "rmw", addr >> self._shift, addr)
         done, level = self._write_access(proc, addr, now)
-        if self.trace is not None:
-            self.trace.access(now, proc, "rmw", addr >> self._shift, level,
-                              done - now, addr)
-        if spans is not None:
-            spans.end(done, level)
+        if trace is not None:
+            trace.access(now, proc, "rmw", addr >> self._shift, level,
+                         done - now, addr)
         return done, level
 
     def write_stalling(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         """A write the processor waits for (sequential-consistency mode)."""
         self.counters.writes += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "w", addr >> self._shift, addr)
+        trace = self.trace
+        if trace is not None:
+            trace.begin(now, proc, "w", addr >> self._shift, addr)
         done, level = self._write_access(proc, addr, now)
-        if self.trace is not None:
-            self.trace.access(now, proc, "w", addr >> self._shift, level,
-                              done - now, addr)
-        if spans is not None:
-            spans.end(done, level)
+        if trace is not None:
+            trace.access(now, proc, "w", addr >> self._shift, level,
+                         done - now, addr)
         return done, level
 
     def _write_access(self, proc: int, addr: int, now: int) -> tuple[int, str]:
@@ -253,9 +231,9 @@ class NumaMachine:
             self.bus.record(TxKind.UPGRADE)
             s = self.nc[node].acquire(now, self.timing.nc_busy_ns, self._bg)
             now = self.bus.phase(s + self.timing.nc_ns, self._bg)
-            if self.spans is not None:
-                self.spans.phase("nc_out", s + self.timing.nc_ns)
-                self.spans.phase("upgrade_bus", now)
+            if self.trace is not None:
+                self.trace.phase("nc_out", s + self.timing.nc_ns)
+                self.trace.phase("upgrade_bus", now)
             for p in others:
                 self.slcs[p].invalidate(line)
                 self.l1s[p].invalidate(line)

@@ -18,8 +18,8 @@ explainable:
 * :mod:`repro.obs.manifest`    — run-manifest sidecars tying every cached
   result to the RunSpec, seed, code version and git revision it came from;
 * :mod:`repro.obs.metrics`     — typed metrics registry (counters, gauges,
-  log2-bucket histograms, labeled families) instrumented across the hot
-  layers, zero-overhead when disabled;
+  log2-bucket histograms, labeled families) folded from the trace stream
+  by a ``MetricsSink``, zero-overhead when disabled;
 * :mod:`repro.obs.openmetrics` — OpenMetrics/Prometheus text and JSON
   snapshot exporters for the registry (behind ``coma-sim metrics``),
   with exemplar support linking latency buckets to span trace ids;

@@ -8,11 +8,11 @@ than one-off report text.
 
 Design rules, in order of importance:
 
-* **Zero overhead when disabled.**  The machines hold a ``metrics``
-  attribute that defaults to ``None``; every hot-path emission site is a
-  single ``if self.metrics is not None`` — the same discipline as the
-  trace sinks.  No registry, family or sample object is ever allocated
-  for an uninstrumented run.
+* **Zero overhead when disabled.**  The registry observes a run through
+  the machine's one ``trace`` slot (a :class:`MetricsSink` teed onto
+  the trace stream), which defaults to ``None``: every hot-path
+  emission site is a single ``if trace is not None``.  No registry,
+  family or sample object is ever allocated for an uninstrumented run.
 * **Deterministic.**  This module is part of the deterministic core (the
   DET lint rules apply): metric values are simulated quantities —
   nanoseconds, event counts, bytes — never the wall clock.  Wall-time
@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import re
 from typing import Iterable, Optional, Sequence, Union
+
+from repro.obs.sink import TraceSink, ignored
 
 Number = Union[int, float]
 
@@ -297,37 +299,42 @@ class MetricsRegistry:
         """Wire this registry into a :class:`~repro.sim.simulator.Simulation`.
 
         Called by ``Simulation.attach(registry)`` — the same uniform path
-        trace sinks and profilers use.  ``every`` is accepted for
-        interface symmetry and ignored (metrics are not sampled; they are
-        incremented at the emission sites).
+        trace sinks and profilers use: the registry tees a
+        :class:`MetricsSink` onto the machine's trace stream.  ``every``
+        is accepted for interface symmetry and ignored (metrics are not
+        sampled; they fold every event).
         """
-        sim.machine.set_metrics(self)
-        sim.metrics = SimInstruments(self)
+        MetricsSink(self, sim.machine).attach_to(sim)
 
 
 # ----------------------------------------------------------------------
-# instrument bundles: pre-bound children for the hot layers
+# the trace-stream aggregator behind the simulation families
 # ----------------------------------------------------------------------
 
 
-class MachineInstruments:
-    """Pre-bound machine-level children (``coma_*`` families).
+class MetricsSink(TraceSink):
+    """Fold a machine's trace stream into a registry's ``coma_*``,
+    ``bus_*`` and ``sim_*`` families.
 
-    Built by :meth:`repro.coma.machine.ComaMachine.set_metrics`; the
-    machine and replacement engine call the bound methods below, so the
-    per-event cost is one attribute load, one ``if`` and one increment.
+    Every family is declared when the sink is built, with the per-node
+    and per-bus children bound up front (zero-valued until they move);
+    children keyed by event fields are bound on their first event and
+    reused, so the per-event cost is a dict probe and one increment.
+    Node hits and misses come from the access level: a read satisfied in
+    the node (``am``) is a node hit, any access satisfied ``remote`` a
+    node miss.
     """
 
-    __slots__ = ("registry", "latency", "node_hits", "node_misses",
-                 "relocations", "relocation_hops", "_events")
-
-    def __init__(self, registry: MetricsRegistry, n_nodes: int) -> None:
-        self.registry = registry
-        self.latency = registry.histogram(
+    def __init__(self, registry: MetricsRegistry, machine) -> None:
+        cfg = machine.config
+        self._node_of = [cfg.node_of_proc(p) for p in range(cfg.n_processors)]
+        self._latency = registry.histogram(
             "coma_access_latency_ns",
             "end-to-end access latency by operation and satisfying level",
             labels=("op", "level"),
         )
+        #: (op, level) -> bound latency child.
+        self._latency_of: dict[tuple[str, str], Histogram] = {}
         hits = registry.counter(
             "coma_node_hits", "node-level (AM/overflow/neighbour-SLC) hits",
             labels=("node",),
@@ -336,13 +343,13 @@ class MachineInstruments:
             "coma_node_misses", "node misses (remote data fetches)",
             labels=("node",),
         )
-        self.node_hits = [hits.labels(i) for i in range(n_nodes)]
-        self.node_misses = [misses.labels(i) for i in range(n_nodes)]
-        self.relocations = registry.counter(
+        self._node_hits = [hits.labels(i) for i in range(cfg.n_nodes)]
+        self._node_misses = [misses.labels(i) for i in range(cfg.n_nodes)]
+        self._relocations = registry.counter(
             "coma_relocations", "owner-line relocations by outcome",
             labels=("outcome",),
         )
-        self.relocation_hops = registry.histogram(
+        self._relocation_hops = registry.histogram(
             "coma_relocation_hops", "forced-cascade depth per relocation",
             n_buckets=8,
         )
@@ -350,84 +357,87 @@ class MachineInstruments:
             "coma_events", "end-of-run machine event counters",
             labels=("event",),
         )
-
-    def access(self, op: str, level: str, latency_ns: int) -> None:
-        self.latency.labels(op, level).observe(latency_ns)
-
-    def node_hit(self, node_id: int) -> None:
-        self.node_hits[node_id].inc()
-
-    def node_miss(self, node_id: int) -> None:
-        self.node_misses[node_id].inc()
-
-    def relocation(self, outcome: str, hops: int) -> None:
-        self.relocations.labels(outcome).inc()
-        self.relocation_hops.observe(hops)
-
-    def finish(self, machine) -> None:
-        """Fold the end-of-run :class:`~repro.stats.counters.Counters`
-        into the ``coma_events`` family (one labeled series per counter),
-        so exports cover every machine statistic without per-event cost."""
-        for name, value in machine.counters.as_dict().items():
-            if value:
-                self._events.labels(name).inc(value)
-
-
-class BusInstruments:
-    """Pre-bound interconnect children (``bus_*`` families)."""
-
-    __slots__ = ("transactions", "bytes", "busy", "wait", "_name")
-
-    def __init__(self, registry: MetricsRegistry, name: str) -> None:
-        self._name = name
-        self.transactions = registry.counter(
+        self._transactions = registry.counter(
             "bus_transactions", "metered transactions by bus and class",
             labels=("bus", "cls"),
         )
-        self.bytes = registry.counter(
+        self._bytes = registry.counter(
             "bus_bytes", "metered traffic bytes by bus and class",
             labels=("bus", "cls"),
         )
-        self.busy = registry.counter(
+        #: (bus, traffic class) -> bound (transactions, bytes) children.
+        self._traffic_of: dict[tuple[str, str], tuple[Counter, Counter]] = {}
+        busy = registry.counter(
             "bus_busy_ns", "cumulative bus occupancy", labels=("bus",),
-        ).labels(name)
-        self.wait = registry.histogram(
+        )
+        wait = registry.histogram(
             "bus_wait_ns", "arbitration wait per bus phase", labels=("bus",),
-        ).labels(name)
-
-    def record(self, cls: str, nbytes: int) -> None:
-        self.transactions.labels(self._name, cls).inc()
-        self.bytes.labels(self._name, cls).inc(nbytes)
-
-    def phase(self, wait_ns: int, busy_ns: int) -> None:
-        self.wait.observe(wait_ns)
-        self.busy.inc(busy_ns)
-
-
-class SimInstruments:
-    """Pre-bound simulation-kernel children (``sim_*`` families)."""
-
-    __slots__ = ("events", "elapsed", "sync_wait")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.events = registry.gauge(
+        )
+        buses = [machine.bus, *getattr(machine, "group_buses", ())]
+        self._busy_of = {b.name: busy.labels(b.name) for b in buses}
+        self._wait_of = {b.name: wait.labels(b.name) for b in buses}
+        self._sim_events = registry.gauge(
             "sim_events_processed", "workload events the kernel dispatched")
-        self.elapsed = registry.gauge(
+        self._elapsed = registry.gauge(
             "sim_elapsed_ns", "simulated nanoseconds at completion")
-        self.sync_wait = registry.histogram(
+        self._sync_wait = registry.histogram(
             "sim_sync_wait_ns", "time blocked per completed sync wait",
             labels=("primitive",),
         )
 
-    def finish(self, events_processed: int, elapsed_ns: int) -> None:
-        self.events.set(events_processed)
-        self.elapsed.set(elapsed_ns)
+    # -- aggregated events ----------------------------------------------
+
+    def access(self, t: int, proc: int, op: str, line: int,
+               level: str, latency_ns: int, addr: int = -1) -> None:
+        child = self._latency_of.get((op, level))
+        if child is None:
+            child = self._latency_of[op, level] = self._latency.labels(op, level)
+        child.observe(latency_ns)
+        if level == "remote":
+            self._node_misses[self._node_of[proc]].inc()
+        elif level == "am" and op == "r":
+            self._node_hits[self._node_of[proc]].inc()
+
+    def bus(self, t: int, bus: str, tx: str, cls: str, nbytes: int,
+            origin: int, line: int) -> None:
+        pair = self._traffic_of.get((bus, cls))
+        if pair is None:
+            pair = self._traffic_of[bus, cls] = (
+                self._transactions.labels(bus, cls),
+                self._bytes.labels(bus, cls))
+        pair[0].inc()
+        pair[1].inc(nbytes)
+
+    def bus_phase(self, bus: str, wait_ns: int, busy_ns: int) -> None:
+        self._wait_of[bus].observe(wait_ns)
+        self._busy_of[bus].inc(busy_ns)
+
+    def replacement(self, t: int, src: int, dst: int, line: int,
+                    outcome: str, hops: int) -> None:
+        self._relocations.labels(outcome).inc()
+        self._relocation_hops.observe(hops)
+
+    def sync(self, t: int, proc: int, primitive: str, obj: int,
+             wait_ns: int) -> None:
+        self._sync_wait.labels(primitive).observe(wait_ns)
+
+    def run_end(self, elapsed_ns: int, events: int, counters) -> None:
+        """Set the kernel gauges and fold the end-of-run counters into
+        ``coma_events`` (one labeled series per non-zero counter)."""
+        self._sim_events.set(events)
+        self._elapsed.set(elapsed_ns)
+        for name, value in counters.as_dict().items():
+            if value:
+                self._events.labels(name).inc(value)
+
+    # The registry keeps no per-transition, ordering-point or span series.
+    transition = syncop = span = emit = ignored
 
 
 class ExperimentInstruments:
     """Pre-bound experiment-layer children (``experiments_*`` families).
 
-    Unlike the bundles above, the values these record come from the wall
+    Unlike the simulation families, the values these record come from the wall
     clock — observed by the unrestricted :mod:`repro.experiments` layer
     (in integer microseconds) and merely stored here.
     """

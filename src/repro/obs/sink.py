@@ -1,16 +1,25 @@
 """The :class:`TraceSink` receiver interface.
 
-Machines and the simulation kernel hold a ``trace`` attribute that is
-``None`` by default; every emission site is guarded by a single
+Machines, buses, the replacement engine and the simulation kernel hold
+one ``trace`` attribute that is ``None`` by default; every emission site
+is guarded by a single
 
-    if self.trace is not None:
-        self.trace.access(...)
+    if trace is not None:
+        trace.access(...)
 
 so a disabled trace costs one attribute load and an ``is``-check on the
 hot path — no event objects are ever allocated.  When a sink is attached
-(:meth:`repro.coma.machine.ComaMachine.set_trace`), the five typed entry
+(:meth:`repro.coma.machine.ComaMachine.set_trace`), the typed entry
 points below build the event dataclasses and route them through
 :meth:`TraceSink.emit`, which is the one method concrete sinks implement.
+
+Every observer rides this one stream: the metrics registry tees in a
+:class:`repro.obs.metrics.MetricsSink`, and span trees come from a
+:class:`repro.obs.spans.SpanBuilder` that ``set_trace`` puts in front of
+a sink asking for them (``wants_spans``).  Facts no event carries — the
+span checkpoints, per-bus-phase arbitration wait and occupancy, the
+end-of-run totals — are entry points too, no-ops unless a sink
+overrides them, so the JSONL/Chrome/flight outputs never see them.
 """
 
 from __future__ import annotations
@@ -28,13 +37,18 @@ from repro.obs.events import (
 )
 
 
+def ignored(self, *args, **kwargs) -> None:
+    """An entry point whose events the sink does not consume (assign it
+    over a typed method to skip building the event object)."""
+
+
 class TraceSink:
     """Base sink: typed entry points funnel into :meth:`emit`."""
 
     #: Span emission is opt-in: building a span tree per access costs
     #: allocations the classic flat events avoid, so the machine only
-    #: installs a :class:`repro.obs.spans.SpanBuilder` when the attached
-    #: sink asks for it.  Sinks that consume span events set this True
+    #: puts a :class:`repro.obs.spans.SpanBuilder` in front of a sink
+    #: that asks for it.  Sinks that consume span events set this True
     #: (class attribute or per instance).
     wants_spans = False
 
@@ -70,22 +84,47 @@ class TraceSink:
         self.emit(SpanEvent(t, dur_ns, trace_id, span_id, parent_id,
                             name, proc, line, op, level, relocs))
 
+    # -- facts no event carries (no-ops unless a sink aggregates them) --
+
+    def bus_phase(self, bus: str, wait_ns: int, busy_ns: int) -> None:
+        """One phase on ``bus``: ``wait_ns`` of arbitration before the
+        grant, then ``busy_ns`` of occupancy."""
+
+    def run_end(self, elapsed_ns: int, events: int, counters) -> None:
+        """The run finished at ``elapsed_ns`` after dispatching
+        ``events`` workload events; ``counters`` is the machine's
+        :class:`~repro.stats.counters.Counters`."""
+
+    # -- span checkpoints (consumed by repro.obs.spans.SpanBuilder) -----
+
+    def begin(self, t: int, proc: int, op: str, line: int,
+              addr: int = -1) -> None:
+        """An access issued at ``t``; its ``access`` event closes it."""
+
+    def phase(self, name: str, t: int) -> None:
+        """The open access finished phase ``name`` at ``t``."""
+
+    def note_relocation(self) -> None:
+        """The open access triggered one background relocation."""
+
     # -- observer attach path -------------------------------------------
 
     def attach_to(self, sim, every: Optional[int] = None) -> None:
         """Uniform observer hook (``Simulation.attach``): install this
         sink on the machine, teeing when one is already attached.
         ``every`` is accepted for interface symmetry and ignored."""
+        # Deferred: repro.obs.spans builds on this module.
+        from repro.obs.spans import SpanBuilder
+
         existing = sim.machine.trace
+        if isinstance(existing, SpanBuilder):
+            existing = existing.sink
         if existing is None:
             sim.machine.set_trace(self)
-        elif isinstance(existing, TeeSink):
-            existing.sinks.append(self)
-            # Re-run set_trace so span wiring reflects the new member
-            # (a wants_spans sink attached onto a span-less tee).
-            sim.machine.set_trace(existing)
         else:
-            sim.machine.set_trace(TeeSink(existing, self))
+            members = (existing.sinks if isinstance(existing, TeeSink)
+                       else (existing,))
+            sim.machine.set_trace(TeeSink(*members, self))
 
     # -- sink lifecycle -------------------------------------------------
 
@@ -119,10 +158,25 @@ class CollectorSink(TraceSink):
 
 
 class TeeSink(TraceSink):
-    """Fan every event out to several child sinks."""
+    """Fan every entry point out to several child sinks.
+
+    The children are fixed at construction.  Each typed entry point is
+    bound straight to the children that consume it: one consumer gets
+    the call with no tee frame in between, and a child that
+    :func:`ignored` a kind is skipped, so it never pays for an event
+    object it does not use.
+    """
 
     def __init__(self, *sinks: TraceSink) -> None:
-        self.sinks = list(sinks)
+        self.sinks = sinks
+        for name in ("access", "transition", "bus", "replacement", "sync",
+                     "syncop", "span", "bus_phase", "run_end"):
+            methods = [getattr(s, name) for s in self.sinks
+                       if getattr(type(s), name, None) is not ignored]
+            if len(methods) == 1:
+                setattr(self, name, methods[0])
+            else:
+                setattr(self, name, _fan_out(methods))
 
     @property
     def wants_spans(self) -> bool:
@@ -141,3 +195,13 @@ class TeeSink(TraceSink):
         for s in self.sinks:
             dump = s.on_simulation_error(exc) or dump
         return dump
+
+
+def _fan_out(methods: list):
+    """One entry point calling each of ``methods`` in turn."""
+
+    def fan_out(*args) -> None:
+        for method in methods:
+            method(*args)
+
+    return fan_out

@@ -6,9 +6,9 @@ remote-access cost split across bus arbitration, AM lookup and
 inter-cluster transfer.  This module makes every simulated cycle of an
 access attributable:
 
-* :class:`SpanBuilder` — held by the machine (``machine.spans``, None by
-  default, installed by ``set_trace`` only when the sink sets
-  ``wants_spans``).  The instrumented hot paths mark *checkpoints* —
+* :class:`SpanBuilder` — a filter ``set_trace`` puts in front of the
+  machine's sink only when the sink sets ``wants_spans``.  The
+  instrumented hot paths mark *checkpoints* on the trace slot —
   monotone completion times along one access — and the builder turns
   consecutive checkpoints into child spans.  Because children are
   differences of a monotone cut sequence over ``[issue, completion]``,
@@ -31,25 +31,35 @@ import heapq
 from typing import Optional
 
 from repro.obs.events import EV_SPAN, EV_SYNC, EV_SYNCOP, SpanEvent
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import TraceSink
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.sink import TraceSink, ignored
 
 
-class SpanBuilder:
-    """Per-machine recorder of one in-flight access's phase checkpoints.
+class SpanBuilder(TraceSink):
+    """A filter in front of the attached sink that cuts each access into
+    a span tree from its phase checkpoints.
 
-    The machine's access entry points are strictly sequential (the event
-    loop never interleaves two accesses of one machine), so a single
-    mutable builder per machine suffices.  Lists are reused across
-    accesses — the per-access cost is appends plus one emission pass.
+    ``set_trace`` installs one (see :func:`span_filter`) when the sink
+    asks for spans.  The machine's access entry points are strictly
+    sequential (the event loop never interleaves two accesses of one
+    machine), so a single mutable builder per machine suffices: ``begin``
+    opens the access, ``phase`` records checkpoints, and the access's
+    own ``access`` event closes the tree — it goes downstream first,
+    followed by the root span and its children.  Every other entry point
+    is the downstream sink's own bound method, so the filter adds no
+    call to them.  Lists are reused across accesses — the per-access
+    cost is appends plus one emission pass.
     """
 
-    __slots__ = ("sink", "_next_trace", "_next_span", "_open",
-                 "t0", "cursor", "proc", "op", "line", "addr", "relocs",
-                 "_names", "_starts", "_ends")
+    #: A builder consumes span checkpoints; a tee holding one asks for a
+    #: builder in front of the whole tee.
+    wants_spans = True
 
     def __init__(self, sink: TraceSink) -> None:
         self.sink = sink
+        for name in ("transition", "bus", "replacement", "sync", "syncop",
+                     "span", "bus_phase", "run_end", "emit", "close"):
+            setattr(self, name, getattr(sink, name))
         self._next_trace = 0
         self._next_span = 0
         self._open = False
@@ -58,7 +68,6 @@ class SpanBuilder:
         self.proc = -1
         self.op = ""
         self.line = -1
-        self.addr = -1
         self.relocs = 0
         self._names: list[str] = []
         self._starts: list[int] = []
@@ -75,7 +84,6 @@ class SpanBuilder:
         self.proc = proc
         self.op = op
         self.line = line
-        self.addr = addr
         self.relocs = 0
         self._names.clear()
         self._starts.clear()
@@ -100,6 +108,12 @@ class SpanBuilder:
         open access (traffic, not latency — annotated on the root)."""
         if self._open:
             self.relocs += 1
+
+    def access(self, t: int, proc: int, op: str, line: int,
+               level: str, latency_ns: int, addr: int = -1) -> None:
+        """Forward the access, then close its span tree."""
+        self.sink.access(t, proc, op, line, level, latency_ns, addr)
+        self.end(t + latency_ns, level)
 
     def end(self, t: int, level: str) -> None:
         """Complete the access at ``t``; the un-annotated remainder
@@ -132,11 +146,7 @@ class SpanBuilder:
         return self._open
 
     def open_stack_text(self) -> str:
-        """Render the in-flight span stack (empty string when idle).
-
-        Folded into ``exc.flight_dump`` by the simulation kernel so a
-        crash dump shows *where in an access* the run died.
-        """
+        """Render the in-flight span stack (empty string when idle)."""
         if not self._open:
             return ""
         out = [
@@ -149,6 +159,30 @@ class SpanBuilder:
         out.append(f"  (in flight since {self.cursor} ns, "
                    f"{self.relocs} relocation(s) so far)")
         return "\n".join(out)
+
+    def on_simulation_error(self, exc: BaseException) -> Optional[str]:
+        """The downstream dump with the in-flight span stack appended, so
+        a crash dump shows *where in an access* the run died."""
+        dump = self.sink.on_simulation_error(exc)
+        stack = self.open_stack_text()
+        if not stack:
+            return dump
+        return f"{dump}\n{stack}" if dump else stack
+
+
+def span_filter(current, sink):
+    """What a machine's ``trace`` slot holds once ``sink`` is attached.
+
+    That is ``sink`` itself, or a :class:`SpanBuilder` in front of it
+    when it asks for spans.  ``current`` is the slot's present value:
+    re-attaching the sink it already filters (a tee that grew a member)
+    keeps that builder and its id counters.
+    """
+    if sink is None or not getattr(sink, "wants_spans", False):
+        return sink
+    if isinstance(current, SpanBuilder) and current.sink is sink:
+        return current
+    return SpanBuilder(sink)
 
 
 class SpanTreeAssembler:
@@ -229,6 +263,8 @@ class StallAttribution(TraceSink):
             "access latency from span roots by operation and level",
             labels=("op", "level"),
         )
+        #: (op, level) -> bound latency child.
+        self._latency_of: dict[tuple[str, str], Histogram] = {}
         #: Slowest access per class: (op, level) -> (dur, trace_id).
         self._class_max: dict[tuple[str, str], tuple[int, int]] = {}
         #: Min-heap of (dur, trace_id) for the N slowest accesses.
@@ -237,6 +273,9 @@ class StallAttribution(TraceSink):
         self._trees: dict[int, list[SpanEvent]] = {}
 
     # -- event intake ---------------------------------------------------
+
+    # The flat events carry nothing the attribution aggregates.
+    access = transition = bus = replacement = ignored
 
     def emit(self, ev) -> None:
         kind = ev.kind
@@ -262,8 +301,11 @@ class StallAttribution(TraceSink):
                 self.reloc_count[proc] = (
                     self.reloc_count.get(proc, 0) + ev.relocs
                 )
-            self._latency.labels(op, ev.level).observe(dur)
             cls = (op, ev.level)
+            child = self._latency_of.get(cls)
+            if child is None:
+                child = self._latency_of[cls] = self._latency.labels(*cls)
+            child.observe(dur)
             best = self._class_max.get(cls)
             if best is None or dur > best[0]:
                 self._class_max[cls] = (dur, ev.trace_id)

@@ -16,10 +16,9 @@ cheap, mergeable, and exportable three ways:
 * through ``coma-sim attribute``/``coma-sim trace --timeline`` on the
   CLI.
 
-:class:`CompositeProfiler` lives here canonically (it predates this
-module in ``repro.stats.timeline``, which now re-exports it): it is the
-fan-out point ``Simulation.attach`` uses to merge profilers, so the
-sampler and the legacy traffic profilers compose freely.
+:class:`CompositeProfiler` is the fan-out point ``Simulation.attach``
+uses to merge profilers, so the sampler and the sharing profiler
+compose freely.
 """
 
 from __future__ import annotations

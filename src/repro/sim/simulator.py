@@ -58,9 +58,6 @@ class Simulation:
         self.check_every = check_every
         self.profiler = None
         self.profile_every = profile_every
-        #: :class:`repro.obs.metrics.SimInstruments` when a registry is
-        #: attached; None keeps the kernel allocation-free.
-        self.metrics = None
         if profiler is not None:
             self.attach(profiler, every=profile_every)
         for obs in observers:
@@ -84,10 +81,10 @@ class Simulation:
 
         Every observer kind hangs off the simulation the same way:
         objects exposing ``attach_to(sim, every=)`` wire themselves in
-        (trace sinks tee onto ``machine.trace``, a
-        :class:`~repro.obs.metrics.MetricsRegistry` builds its pre-bound
-        instrument bundles); anything exposing ``sample(machine)``
-        registers as a sampling profiler, merged into a
+        (trace sinks tee onto ``machine.trace``, and so does the
+        :class:`~repro.obs.metrics.MetricsSink` of a
+        :class:`~repro.obs.metrics.MetricsRegistry`); anything exposing
+        ``sample(machine)`` registers as a sampling profiler, merged into a
         :class:`~repro.obs.timeline.CompositeProfiler` when one is
         already attached.  ``every`` overrides the sampling interval for
         profilers and is forwarded to ``attach_to`` hooks.
@@ -119,7 +116,8 @@ class Simulation:
         budget) and a trace sink is attached, the sink's
         ``on_simulation_error`` hook fires — the flight recorder uses it
         to dump the last events before the crash — and the rendered dump
-        (if any) is attached to the exception as ``flight_dump``.
+        (if any) is attached to the exception as ``flight_dump``.  A span
+        builder in front of the sink appends the access in flight.
         """
         try:
             heap = self._heap
@@ -135,12 +133,7 @@ class Simulation:
         except (AssertionError, ReproError) as exc:
             trace = getattr(self.machine, "trace", None)
             if trace is not None:
-                dump = trace.on_simulation_error(exc)
-                spans = getattr(self.machine, "spans", None)
-                if spans is not None and spans.open:
-                    stack = spans.open_stack_text()
-                    dump = f"{dump}\n{stack}" if dump else stack
-                exc.flight_dump = dump
+                exc.flight_dump = trace.on_simulation_error(exc)
             raise
         return self._collect()
 
@@ -285,10 +278,6 @@ class Simulation:
                     wp.clock - wp.block_start,
                 )
                 trace.syncop(done, wpid, "acquire", "lock", lock.lock_id)
-            if self.metrics is not None:
-                self.metrics.sync_wait.labels("lock").observe(
-                    wp.clock - wp.block_start
-                )
             heapq.heappush(self._heap, (wp.clock, wpid))
 
     def _barrier(self, p: Processor, b: SimBarrier) -> None:
@@ -322,10 +311,6 @@ class Simulation:
                     q.clock - q.block_start,
                 )
                 trace.syncop(rdone, pid2, "depart", "barrier", b.barrier_id)
-            if self.metrics is not None:
-                self.metrics.sync_wait.labels("barrier").observe(
-                    q.clock - q.block_start
-                )
             heapq.heappush(self._heap, (q.clock, pid2))
         if sense_done > p.clock:
             p.acct.sync += sense_done - p.clock
@@ -346,8 +331,8 @@ class Simulation:
 
     def _collect(self) -> SimulationResult:
         elapsed = max((p.clock for p in self.procs), default=0)
-        if self.metrics is not None:
-            self.metrics.finish(self.events_processed, elapsed)
-            if self.machine.metrics is not None:
-                self.machine.metrics.finish(self.machine)
+        trace = getattr(self.machine, "trace", None)
+        if trace is not None:
+            trace.run_end(elapsed, self.events_processed,
+                          self.machine.counters)
         return SimulationResult.build(self.machine, self.procs, elapsed)

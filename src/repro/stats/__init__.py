@@ -10,10 +10,6 @@ from repro.stats.metrics import (
 from repro.obs.timeline import CompositeProfiler
 from repro.stats.profiler import SharingProfiler, format_profile
 
-# repro.stats.timeline is deprecated (import it to get the legacy
-# TrafficTimeline, with a DeprecationWarning); the canonical timeline
-# home is repro.obs.timeline.
-
 __all__ = [
     "Counters",
     "read_node_miss_rate",

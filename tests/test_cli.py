@@ -58,6 +58,43 @@ class TestParser:
             build_parser().parse_args([])
 
 
+def _subcommand_paths(parser, prefix=()):
+    """Every subcommand path under ``parser``, found by walking its
+    subparser actions (nested ones included)."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + (name,)
+                yield from _subcommand_paths(sub, prefix + (name,))
+
+
+class TestHelp:
+    def test_every_help_exits_zero(self, capsys):
+        paths = [()] + list(_subcommand_paths(build_parser()))
+        assert len(paths) > 20
+        for path in paths:
+            with pytest.raises(SystemExit) as exc:
+                main([*path, "--help"])
+            assert exc.value.code == 0, path
+            assert "usage:" in capsys.readouterr().out
+
+
+class TestInvalidSpecs:
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "fft", "--memory-pressure", "1.5"],
+         "error: memory_pressure must be in (0, 1]"),
+        (["run", "fft", "--scale", "0"], "error: scale must be positive"),
+    ])
+    def test_one_line_error_and_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-cache"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == message + "\n"
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

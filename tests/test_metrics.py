@@ -13,6 +13,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    MetricsSink,
 )
 from repro.obs.openmetrics import (
     OpenMetricsParseError,
@@ -184,21 +185,27 @@ class TestDeterminism:
 class TestZeroOverheadOff:
     def test_disabled_run_never_touches_metric_types(self, monkeypatch):
         """Mutation-style guard: an uninstrumented run must not execute a
-        single metric mutation, not merely produce no visible series."""
+        single metric mutation or observer method, not merely produce no
+        visible series — its one observation slot stays empty."""
+        from repro.obs.spans import SpanBuilder
 
         def boom(*a, **k):  # pragma: no cover - must never run
             raise AssertionError("metric mutated on an uninstrumented run")
 
+        for cls in (MetricsSink, SpanBuilder):
+            for name, attr in list(vars(cls).items()):
+                if callable(attr):
+                    monkeypatch.setattr(cls, name, boom)
         monkeypatch.setattr(Counter, "inc", boom)
         monkeypatch.setattr(Gauge, "set", boom)
         monkeypatch.setattr(Gauge, "inc", boom)
+        monkeypatch.setattr(Gauge, "dec", boom)
         monkeypatch.setattr(Histogram, "observe", boom)
         monkeypatch.setattr(Family, "labels", boom)
         sim = build_simulation(SPEC)
         result = sim.run()
         assert result.elapsed_ns > 0
-        assert sim.metrics is None and sim.machine.metrics is None
-        assert sim.machine.bus.metrics is None
+        assert sim.machine.trace is None and sim.machine.bus.trace is None
 
 
 class TestAttachPath:
@@ -219,23 +226,19 @@ class TestAttachPath:
         assert sink.events
         assert registry.snapshot()["sim_events_processed"]["series"][""] > 0
 
-    @pytest.mark.filterwarnings(
-        "ignore:TrafficTimeline is deprecated:DeprecationWarning")
-    @pytest.mark.filterwarnings(
-        "ignore:repro.stats.timeline is deprecated:DeprecationWarning")
     def test_attach_second_profiler_composes(self):
+        from repro.obs.timeline import CompositeProfiler, TimelineSampler
         from repro.stats.profiler import SharingProfiler
-        from repro.stats.timeline import CompositeProfiler, TrafficTimeline
 
         sim = build_simulation(SPEC)
-        prof, tl = SharingProfiler(), TrafficTimeline()
+        prof, tl = SharingProfiler(), TimelineSampler()
         sim.attach(prof)
         sim.attach(tl, every=2000)
         assert isinstance(sim.profiler, CompositeProfiler)
         assert sim.profiler.profilers == [prof, tl]
         assert sim.profile_every == 2000
         sim.run()
-        assert prof.samples and tl.samples
+        assert prof.samples and tl.t
 
     def test_attach_second_sink_tees(self):
         from repro.obs.sink import CollectorSink, TeeSink
@@ -247,6 +250,35 @@ class TestAttachPath:
         assert isinstance(sim.machine.trace, TeeSink)
         sim.run()
         assert len(a.events) == len(b.events) > 0
+
+    def test_attach_order_does_not_change_outputs(self):
+        """Registry, attribution and JSONL writer share one tee behind the
+        span builder: every attach order yields the same OpenMetrics text,
+        JSONL bytes and attribution report."""
+        import io
+        from itertools import permutations
+
+        from repro.obs.jsonl import JsonlTraceSink
+        from repro.obs.spans import StallAttribution
+
+        outputs = set()
+        for order in permutations(("registry", "attribution", "jsonl")):
+            buf = io.StringIO()
+            observers = {"registry": MetricsRegistry(),
+                         "attribution": StallAttribution(top_spans=3),
+                         "jsonl": JsonlTraceSink(buf)}
+            sim = build_simulation(SPEC)
+            for name in order:
+                sim.attach(observers[name])
+            sim.run()
+            att = observers["attribution"]
+            assert att.conservation_errors() == []
+            outputs.add((to_openmetrics(observers["registry"]),
+                         buf.getvalue(),
+                         json.dumps(att.report(), sort_keys=True)))
+        assert len(outputs) == 1
+        _, jsonl, _ = outputs.pop()
+        assert '"ev":"span"' in jsonl and '"ev":"access"' in jsonl
 
     def test_attach_kwarg_still_routes(self):
         from repro.sim.simulator import Simulation

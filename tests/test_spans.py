@@ -146,18 +146,22 @@ class TestConservation:
 class TestZeroOverheadOff:
     def test_disabled_run_never_builds_a_span(self, monkeypatch):
         """Poisoned-mutator proof: with no span-wanting sink attached, a
-        run must not execute a single SpanBuilder method."""
+        traced run must not build a SpanBuilder or run one of its
+        methods — the checkpoints land on the sink's no-op entry points."""
 
         def boom(*a, **k):  # pragma: no cover - must never run
             raise AssertionError("span recorded on a spans-off run")
 
-        for meth in ("begin", "phase", "note_relocation", "end"):
-            monkeypatch.setattr(SpanBuilder, meth, boom)
+        for name, attr in list(vars(SpanBuilder).items()):
+            if callable(attr):
+                monkeypatch.setattr(SpanBuilder, name, boom)
+        sink = CollectorSink()
         sim = build_simulation(SPEC)
-        sim.machine.set_trace(CollectorSink())  # tracing on, spans off
+        sim.machine.set_trace(sink)  # tracing on, spans off
         result = sim.run()
         assert result.elapsed_ns > 0
-        assert sim.machine.spans is None
+        assert sim.machine.trace is sink
+        assert sink.events and not sink.of_kind("span")
 
     def test_detaching_span_sink_restores_byte_identical_traces(self):
         def jsonl(extra_sink) -> str:
@@ -179,10 +183,18 @@ class TestZeroOverheadOff:
 
     def test_tee_wants_spans_if_any_child_does(self):
         m = make_machine()
-        m.set_trace(TeeSink(CollectorSink(), CollectorSink()))
-        assert m.spans is None
-        m.set_trace(TeeSink(CollectorSink(), StallAttribution()))
-        assert m.spans is not None
+        plain = TeeSink(CollectorSink(), CollectorSink())
+        m.set_trace(plain)
+        assert m.trace is plain
+        tee = TeeSink(CollectorSink(), StallAttribution())
+        m.set_trace(tee)
+        # The builder filters the machine's stream only; buses emit
+        # straight into the sink.
+        assert isinstance(m.trace, SpanBuilder) and m.trace.sink is tee
+        assert m.bus.trace is tee
+        builder = m.trace
+        m.set_trace(tee)
+        assert m.trace is builder  # re-attaching keeps the id counters
 
 
 class TestSpanEvents:
@@ -338,8 +350,8 @@ class TestFlightDumpSpanStack:
         fr.wants_spans = True
         m.set_trace(fr)
         # Leave an access open, as a mid-access crash would.
-        m.spans.begin(100, 2, "w", 0x9, addr=0x240)
-        m.spans.phase("bus_arb", 140)
+        m.trace.begin(100, 2, "w", 0x9, addr=0x240)
+        m.trace.phase("bus_arb", 140)
 
         def rogue():
             yield ("u", 0)  # releases a lock it never acquired
@@ -355,34 +367,6 @@ class TestFlightDumpSpanStack:
     def test_builder_stack_text_empty_when_idle(self):
         b = SpanBuilder(CollectorSink())
         assert b.open_stack_text() == ""
-
-
-@pytest.mark.filterwarnings(
-    "ignore:repro.stats.timeline is deprecated:DeprecationWarning")
-class TestLegacyTimelineDeprecation:
-    def test_traffic_timeline_warns_and_still_works(self):
-        from repro.stats.timeline import TrafficTimeline
-
-        with pytest.warns(DeprecationWarning, match="TimelineSampler"):
-            tl = TrafficTimeline()
-        m = make_machine()
-        _exercise(m)
-        tl.sample(m)
-        _exercise(m)
-        tl.sample(m)
-        assert tl.windows()
-
-    def test_sample_and_window_reprs_are_sorted(self):
-        from repro.stats.timeline import TrafficSample, TrafficWindow
-
-        s = TrafficSample(sim_time_ns=5,
-                          bytes_by_class={"z": 1, "a": 2, "m": 3})
-        assert repr(s) == ("TrafficSample(sim_time_ns=5, "
-                           "bytes_by_class={'a': 2, 'm': 3, 'z': 1})")
-        w = TrafficWindow(start_ns=0, end_ns=10,
-                          bytes_by_class={"b": 4, "a": 1})
-        assert repr(w) == ("TrafficWindow(start_ns=0, end_ns=10, "
-                           "bytes_by_class={'a': 1, 'b': 4})")
 
 
 class TestAttributeCli:

@@ -1,4 +1,4 @@
-"""Tests for the traffic-timeline profiler."""
+"""Tests for the simulated-time metric timeline (``repro.obs.timeline``)."""
 
 from __future__ import annotations
 
@@ -7,54 +7,44 @@ import warnings
 import pytest
 
 from repro.experiments.runner import RunSpec, build_simulation
+from repro.obs.timeline import (
+    CompositeProfiler,
+    TimelineSampler,
+    format_timeline_series,
+)
 from repro.stats.profiler import SharingProfiler
 
-# The module under test is deprecated (repro.obs.timeline supersedes
-# it); these tests pin its continued behaviour, so both the import-time
-# and the constructor warnings are expected.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro.stats.timeline import (
-        CompositeProfiler,
-        TrafficSample,
-        TrafficTimeline,
-        TrafficWindow,
-        format_timeline,
-    )
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:TrafficTimeline is deprecated:DeprecationWarning"
-)
+def _sampler(t: list[int], **cols: list) -> TimelineSampler:
+    tl = TimelineSampler()
+    tl.t = list(t)
+    zeros = [0] * len(t)
+    tl.cols = {"bus_busy_ns": zeros, "bus_bytes": zeros,
+               "accesses": zeros, "node_misses": zeros, **cols}
+    return tl
+
+
+class _Machine:
+    """The slice of a machine ``TimelineSampler._probe`` reads."""
+
+    def __init__(self, now: int) -> None:
+        from repro.bus.sharedbus import SharedBus
+        from repro.common.config import TimingConfig
+        from repro.stats.counters import Counters
+
+        self.now = now
+        self.counters = Counters()
+        self.bus = SharedBus(TimingConfig(), 64)
 
 
 class TestModuleDeprecation:
-    def test_import_emits_exactly_one_deprecation_warning(self):
-        """A fresh import of repro.stats.timeline warns exactly once,
-        pointing at the canonical repro.obs.timeline home."""
-        import importlib
-        import sys
-
-        saved = sys.modules.pop("repro.stats.timeline", None)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                importlib.import_module("repro.stats.timeline")
-            dep = [w for w in caught
-                   if issubclass(w.category, DeprecationWarning)]
-            assert len(dep) == 1
-            assert "repro.obs.timeline" in str(dep[0].message)
-        finally:
-            if saved is not None:
-                sys.modules["repro.stats.timeline"] = saved
-
     def test_package_import_does_not_warn(self):
-        """repro.stats itself no longer re-exports the deprecated
-        module, so importing the package stays silent."""
+        """Importing repro.stats stays silent and exposes no legacy
+        timeline names; the timeline lives in repro.obs.timeline."""
         import importlib
         import sys
 
-        saved = {name: sys.modules.pop(name, None)
-                 for name in ("repro.stats", "repro.stats.timeline")}
+        saved = sys.modules.pop("repro.stats", None)
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -64,74 +54,67 @@ class TestModuleDeprecation:
             assert dep == []
             assert not hasattr(sys.modules["repro.stats"], "TrafficTimeline")
         finally:
-            for name, mod in saved.items():
-                if mod is not None:
-                    sys.modules[name] = mod
+            if saved is not None:
+                sys.modules["repro.stats"] = saved
 
 
 class TestWindows:
     def test_differencing(self):
-        tl = TrafficTimeline()
-        tl.samples = [
-            TrafficSample(0, {"read": 0, "write": 0, "replace": 0}),
-            TrafficSample(1000, {"read": 100, "write": 20, "replace": 0}),
-            TrafficSample(3000, {"read": 300, "write": 20, "replace": 8}),
-        ]
-        ws = tl.windows()
+        tl = _sampler([0, 1000, 3000], bus_bytes=[0, 120, 328],
+                      accesses=[0, 10, 30], node_misses=[0, 1, 6])
+        ws = tl.series()
         assert len(ws) == 2
-        assert ws[0].bytes_by_class == {"read": 100, "write": 20, "replace": 0}
-        assert ws[1].bytes_by_class == {"read": 200, "write": 0, "replace": 8}
-        assert ws[1].start_ns == 1000 and ws[1].end_ns == 3000
+        assert ws[0]["bandwidth_bytes_per_us"] == pytest.approx(120.0)
+        assert ws[1]["bandwidth_bytes_per_us"] == pytest.approx(104.0)
+        assert ws[1]["miss_rate"] == pytest.approx(0.25)
+        assert ws[1]["start_ns"] == 1000 and ws[1]["end_ns"] == 3000
 
     def test_non_advancing_samples_skipped(self):
-        tl = TrafficTimeline()
-        tl.samples = [
-            TrafficSample(1000, {"read": 10}),
-            TrafficSample(500, {"read": 20}),   # wakeup rewound machine.now
-            TrafficSample(2000, {"read": 30}),
-        ]
-        ws = tl.windows()
-        assert len(ws) == 1
-        assert ws[0].start_ns == 500
+        tl = TimelineSampler()
+        for now in (1000, 500, 1000, 2000):  # a wakeup rewound machine.now
+            tl.sample(_Machine(now))
+        assert tl.t == [1000, 2000]
+        assert len(tl.series()) == 1
 
     def test_bandwidth(self):
-        w = TrafficWindow(0, 1000, {"read": 2048})
-        assert w.bandwidth_bytes_per_us == pytest.approx(2048.0)
+        tl = _sampler([0, 1000], bus_bytes=[0, 2048], bus_busy_ns=[0, 250])
+        (win,) = tl.series()
+        assert win["bandwidth_bytes_per_us"] == pytest.approx(2048.0)
+        assert win["bus_utilization"] == pytest.approx(0.25)
 
     def test_peak_empty(self):
-        assert TrafficTimeline().peak_window() is None
+        tl = TimelineSampler()
+        assert tl.series() == []
+        assert "fewer than two samples" in format_timeline_series(tl)
 
 
 class TestAttachedToSimulation:
     def test_captures_phases(self):
-        tl = TrafficTimeline()
+        tl = TimelineSampler()
         sim = build_simulation(RunSpec(workload="fft", scale=0.5))
-        sim.profiler = tl
-        sim.profile_every = 3000
+        sim.attach(tl, every=3000)
         res = sim.run()
         tl.sample(sim.machine)  # closing sample
-        ws = tl.windows()
+        ws = tl.series()
         assert len(ws) >= 3, "several sample windows over the run"
-        assert sum(w.total for w in ws) <= res.total_traffic_bytes
-        peak = tl.peak_window()
-        assert peak is not None and peak.total > 0
+        assert tl.cols["bus_bytes"][-1] <= res.total_traffic_bytes
+        assert max(w["bandwidth_bytes_per_us"] for w in ws) > 0
 
     def test_composite_profiler(self):
-        tl = TrafficTimeline()
+        tl = TimelineSampler()
         sp = SharingProfiler()
         sim = build_simulation(RunSpec(workload="synth_private", scale=0.25))
         sim.profiler = CompositeProfiler([tl, sp])
         sim.profile_every = 2000
         sim.run()
-        assert len(tl.samples) > 0
-        assert sp.samples == len(tl.samples)
+        assert len(tl.t) > 0
+        assert sp.samples >= len(tl.t)
 
     def test_format(self):
-        tl = TrafficTimeline()
+        tl = TimelineSampler()
         sim = build_simulation(RunSpec(workload="synth_private", scale=0.25))
-        sim.profiler = tl
-        sim.profile_every = 2000
+        sim.attach(tl, every=2000)
         sim.run()
         tl.sample(sim.machine)
-        text = format_timeline(tl)
-        assert "traffic over simulated time" in text
+        text = format_timeline_series(tl)
+        assert "bus utilization over simulated time" in text
