@@ -25,8 +25,9 @@ C104     bisimulation failure: the PR 1 model checker's reachability
 
 C101–C103 are exhaustive over the ``4 states x 6 ops x 2 sharer``
 grid — every cell is re-derived from the source table and compared, so a
-stale or hand-patched artifact cannot hide.  C104 goes further: it runs
-the two protocols *in lockstep* over every reachable global state of a
+stale or hand-patched artifact cannot hide.  C104 goes further: it
+replays the decompiled protocol *in lockstep* against every stored edge
+of the source table's :class:`~repro.analysis.model.StateGraph` for a
 small configuration, so even a divergence that needs a particular
 interleaving to matter is caught, with the shortest such interleaving
 attached as the counterexample.
@@ -41,7 +42,6 @@ Typical use::
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 from repro.analysis.compile import (
@@ -55,8 +55,7 @@ from repro.analysis.compile import (
     compile_victim_policy,
     decompile,
 )
-from repro.analysis.model import GlobalState, ProtocolModel, Step
-from repro.analysis.modelcheck import format_trace, trace_to
+from repro.analysis.model import MAX_STATES, ProtocolModel, StateGraph
 from repro.analysis.report import AnalysisReport, Finding
 from repro.coma.protocol import EVENTS, STATES, TRANSITIONS, Transition
 from repro.coma.states import EXCLUSIVE, INVALID, SHARED, state_name
@@ -76,10 +75,6 @@ CERTIFY_RULES = {
             "graph, replayed against compiled dispatch, diverges from "
             "the source table's graph (minimal event trace attached)",
 }
-
-#: Same backstop the model checker uses; lockstep replay explores the
-#: identical (tiny) state space.
-MAX_STATES = 1_000_000
 
 #: CompiledTiming field -> TimingConfig property it must equal.
 _TIMING_FIELDS = {
@@ -202,59 +197,43 @@ def certify_bisimulation(
     """Replay the model checker's reachability graph against compiled
     dispatch (rule C104).
 
-    The source table and ``decompile(compiled)`` are lifted to two
-    :class:`~repro.analysis.model.ProtocolModel` instances and stepped in
-    lockstep over every global state reachable under the *source* model.
-    At each state the enabled-step sets must coincide and every step must
+    ``decompile(compiled)`` is lifted to a
+    :class:`~repro.analysis.model.ProtocolModel` and compared in lockstep
+    with each state's stored edges in the source table's
+    :class:`~repro.analysis.model.StateGraph`, in BFS order.  At each
+    state the enabled-step sets must coincide and every step must
     produce the same successor; the first divergence is reported with its
-    minimal (BFS-order) event trace.
+    minimal event trace.
     """
     report = AnalysisReport()
-    ref = ProtocolModel(transitions, n_nodes=n_nodes, n_lines=n_lines)
+    graph = StateGraph(
+        ProtocolModel(transitions, n_nodes=n_nodes, n_lines=n_lines), max_states
+    )
     cmp_model = ProtocolModel(
         decompile(compiled), n_nodes=n_nodes, n_lines=n_lines
     )
-    init = ref.initial_state()
-    parent: dict[GlobalState, Optional[tuple[GlobalState, Step]]] = {init: None}
-    queue = deque([init])
     n_steps = 0
-
-    while queue:
-        state = queue.popleft()
-        ref_steps = ref.steps(state)
+    for state, out in graph.edges.items():
+        ref_steps = {step for step, _, _ in out}
         cmp_steps = set(cmp_model.steps(state))
-        if cmp_steps != set(ref_steps):
-            missing = sorted(
-                set(ref_steps) - cmp_steps, key=lambda s: s.describe()
-            )
-            extra = sorted(
-                cmp_steps - set(ref_steps), key=lambda s: s.describe()
-            )
+        if cmp_steps != ref_steps:
             what = []
-            if missing:
-                what.append(
-                    "compiled dispatch disables "
-                    + "; ".join(s.describe() for s in missing)
-                )
-            if extra:
-                what.append(
-                    "compiled dispatch enables "
-                    + "; ".join(s.describe() for s in extra)
-                )
+            for verb, diff in (("disables", ref_steps - cmp_steps),
+                               ("enables", cmp_steps - ref_steps)):
+                if diff:
+                    what.append(f"compiled dispatch {verb} " + "; ".join(
+                        sorted(s.describe() for s in diff)))
             report.findings.append(Finding(
                 rule="C104",
                 message="bisimulation failed: " + " / ".join(what),
                 path=path,
-                detail=format_trace(trace_to(state, parent)),
+                detail=graph.counterexample(state),
             ))
             break
-        diverged = False
-        for step in ref_steps:
+        for step, succ, _ in out:
             n_steps += 1
-            succ = ref.apply(state, step)
             cmp_succ = cmp_model.apply(state, step)
             if cmp_succ != succ:
-                trace = trace_to(state, parent) + [(step, cmp_succ)]
                 report.findings.append(Finding(
                     rule="C104",
                     message=f"bisimulation failed: after "
@@ -262,18 +241,12 @@ def certify_bisimulation(
                     "different global state than the table (trace shows "
                     "the compiled successor)",
                     path=path,
-                    detail=format_trace(trace),
+                    detail=graph.counterexample(state, (step, cmp_succ)),
                 ))
-                diverged = True
                 break
-            if succ not in parent:
-                if len(parent) >= max_states:  # pragma: no cover - backstop
-                    break
-                parent[succ] = (state, step)
-                queue.append(succ)
-        if diverged:
+        if report.findings:
             break
-    report.stats["states"] = len(parent)
+    report.stats["states"] = len(graph.parent)
     report.stats["lockstep_steps"] = n_steps
     return report
 

@@ -1,6 +1,6 @@
 """Protocol table coverage: reachable cells vs cells workloads exercise.
 
-The model checker (:mod:`repro.analysis.model`) proves which
+The state graph (:class:`repro.analysis.model.StateGraph`) proves which
 (state, event, sharers) table cells are *reachable* in the abstract
 machine; the trace stream shows which cells a concrete workload actually
 *exercises*.  Intersecting the two classifies every allowed cell of
@@ -41,9 +41,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.analysis.model import ProtocolModel, Step
+from repro.analysis.model import NO_TAG, Cell, ProtocolModel, StateGraph
 from repro.coma.protocol import TRANSITIONS, Transition
-from repro.coma.states import SHARED, state_name
+from repro.coma.states import state_name
 from repro.obs.events import (
     EV_ACCESS,
     EV_REPLACEMENT,
@@ -53,13 +53,6 @@ from repro.obs.events import (
 )
 from repro.obs.events import Transition as TransitionEvent
 from repro.obs.sink import TraceSink
-
-#: One coverage cell: (state letter, event, sharer tag).  ``tag`` is
-#: "alone"/"sharers" for the sharer-dependent inject rows, "-" otherwise.
-Cell = tuple[str, str, str]
-
-#: Sharer tag for sharer-independent cells.
-NO_TAG = "-"
 
 #: Replacement outcomes that displace the copy out of ``src`` (the others
 #: either keep the line inside the node — ``to_slc`` — or describe a
@@ -108,78 +101,23 @@ def table_cells(transitions: Sequence[Transition] = TRANSITIONS) -> set[Cell]:
 
 
 # ---------------------------------------------------------------------------
-# The reachable set: BFS over the abstract model, recording the cells each
-# step fires.  Mirrors ProtocolModel.apply exactly (broadcast first, actor
-# next, receiver inject resolved against the surviving sharer set).
+# The reachable set: the cells fired along the abstract model's state graph.
 # ---------------------------------------------------------------------------
-
-def _step_cells(
-    model: ProtocolModel, gs: tuple[tuple[int, ...], ...], step: Step
-) -> set[Cell]:
-    cells: set[Cell] = set()
-    ls = list(gs[step.line])
-    actor = step.node
-    row = model.table[(ls[actor], step.event)]
-    cells.add((state_name(ls[actor]), step.event, NO_TAG))
-
-    remote: Optional[str] = None
-    if row.bus_action == "read":
-        remote = "remote_read"
-    elif row.bus_action in ("read_excl", "upgrade"):
-        remote = "remote_write"
-    if remote is not None:
-        for node, state in enumerate(ls):
-            if node == actor:
-                continue
-            rrow = model.table.get((state, remote))
-            if rrow is not None and rrow.next_state is not None:
-                cells.add((state_name(state), remote, NO_TAG))
-                ls[node] = rrow.next_state
-    assert row.next_state is not None  # step came from model.steps()
-    ls[actor] = row.next_state
-
-    if step.receiver is not None:
-        rcv_state = ls[step.receiver]
-        rcv_row = model.table[(rcv_state, "inject")]
-        tag = NO_TAG
-        if (
-            rcv_row.next_state_sharers is not None
-            and rcv_row.next_state_sharers != rcv_row.next_state
-        ):
-            sharers_exist = any(
-                s == SHARED
-                for n, s in enumerate(ls)
-                if n not in (actor, step.receiver)
-            )
-            tag = "sharers" if sharers_exist else "alone"
-        cells.add((state_name(rcv_state), "inject", tag))
-    return cells
-
 
 def reachable_cells(
     transitions: Sequence[Transition] = TRANSITIONS,
     n_nodes: int = 3,
 ) -> set[Cell]:
-    """Every cell fired along some path from the initial global state.
+    """Every cell fired along some path from the initial global state:
+    the union of the cells on every edge of the
+    :class:`~repro.analysis.model.StateGraph`.
 
     ``n_nodes=3`` suffices to distinguish alone/sharers inject outcomes
     (actor, receiver, plus one potential surviving sharer) and matches
     the model checker's default configuration.
     """
-    model = ProtocolModel(transitions, n_nodes=n_nodes, n_lines=1)
-    init = model.initial_state()
-    seen = {init}
-    frontier = [init]
-    cells: set[Cell] = set()
-    while frontier:
-        gs = frontier.pop()
-        for step in model.steps(gs):
-            cells |= _step_cells(model, gs, step)
-            nxt = model.apply(gs, step)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return cells
+    graph = StateGraph(ProtocolModel(transitions, n_nodes=n_nodes, n_lines=1))
+    return {cell for out in graph.edges.values() for _, _, cells in out for cell in cells}
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,16 @@ invariants.  A protocol can satisfy all of those and still be useless —
 it can wedge (no step enabled anywhere) or churn forever (the only thing
 it can ever do is relocate owner lines from node to node without any
 processor making progress).  This module proves two liveness properties
-over the same lifted transition system:
+as queries over the same :class:`~repro.analysis.model.StateGraph`:
 
 * **L001 — deadlock freedom.**  Every reachable global state has at
-  least one enabled step.  The BFS parent map makes the first
+  least one out-edge.  The graph's BFS parent pointers make the first
   counterexample's event trace minimal.
 * **L002 — no replacement livelock.**  Under weak fairness, the system
   must always be able to leave the *relocation-only* region: states
-  whose every enabled step is an eviction.  A cycle inside that region
-  is an execution where the machine shuffles owner lines between nodes
-  forever while no load or store can ever fire.
+  whose every out-edge is an eviction.  A cycle over the graph's edges
+  inside that region is an execution where the machine shuffles owner
+  lines between nodes forever while no load or store can ever fire.
 
 With the shipped table both properties hold vacuously strong: every
 state enables a local read, so the relocation-only region is empty.
@@ -30,11 +30,16 @@ the abstract capacity-free model cannot express.)
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
-from repro.analysis.model import GlobalState, ProtocolModel, Step
-from repro.analysis.modelcheck import MAX_STATES, format_trace, trace_to
+from repro.analysis.model import (
+    MAX_STATES,
+    GlobalState,
+    ProtocolModel,
+    StateGraph,
+    Step,
+    format_global_state,
+)
 from repro.analysis.report import AnalysisReport, Finding
 from repro.coma.protocol import TRANSITIONS, Transition
 
@@ -47,38 +52,16 @@ def check_liveness(
 ) -> AnalysisReport:
     """Prove deadlock freedom (L001) and no replacement livelock (L002).
 
-    Explores every reachable global state breadth-first, so the first
-    deadlock found has a minimal event trace; livelock counterexamples
-    report the shortest path into the relocation-only region plus the
-    cycle that traps the machine there.
+    Queries the breadth-first state graph, so the first deadlock found
+    has a minimal event trace; livelock counterexamples report the
+    shortest path into the relocation-only region plus the cycle that
+    traps the machine there.
     """
     report = AnalysisReport()
     model = ProtocolModel(transitions, n_nodes=n_nodes, n_lines=n_lines)
-    init = model.initial_state()
+    graph = StateGraph(model, max_states)
 
-    parent: dict[GlobalState, Optional[tuple[GlobalState, Step]]] = {init: None}
-    queue = deque([init])
-    order: list[GlobalState] = []          # BFS discovery order
-    enabled: dict[GlobalState, list[Step]] = {}
-    n_transitions = 0
-    truncated = False
-
-    while queue and not truncated:
-        state = queue.popleft()
-        order.append(state)
-        steps = model.steps(state)
-        enabled[state] = steps
-        for step in steps:
-            n_transitions += 1
-            succ = model.apply(state, step)
-            if succ not in parent:
-                if len(parent) >= max_states:
-                    truncated = True
-                    break
-                parent[succ] = (state, step)
-                queue.append(succ)
-
-    if truncated:
+    if graph.truncated:
         report.findings.append(Finding(
             rule="L001",
             message=f"state-space exceeded {max_states} states before the "
@@ -87,7 +70,7 @@ def check_liveness(
         ))
 
     # -- L001: deadlock freedom ----------------------------------------
-    deadlocks = [s for s in order if not enabled[s]]
+    deadlocks = [s for s, out in graph.edges.items() if not out]
     if deadlocks:
         first = deadlocks[0]               # BFS order => minimal trace
         stuck = model.stuck_relocations(first)
@@ -100,24 +83,22 @@ def check_liveness(
             rule="L001",
             message=f"reachable deadlock: no step is enabled ({why})",
             path="liveness-check",
-            detail=format_trace(trace_to(first, parent)),
+            detail=graph.counterexample(first),
         ))
 
     # -- L002: no replacement livelock ---------------------------------
     reloc_only = {
-        s for s in order
-        if enabled[s] and all(st.event == "evict" for st in enabled[s])
+        s for s, out in graph.edges.items()
+        if out and all(step.event == "evict" for step, _, _ in out)
     }
-    cycle = _find_cycle(model, reloc_only, enabled, order)
+    cycle = _find_cycle(graph, reloc_only)
     if cycle is not None:
-        entry, loop_steps = cycle
-        detail = [format_trace(trace_to(entry, parent)),
+        entry, loop = cycle
+        detail = [graph.counterexample(entry),
                   "relocation-only cycle from there:"]
-        cur = entry
-        for step in loop_steps:
-            cur = model.apply(cur, step)
+        for step, succ in loop:
             detail.append(f"  loop: {step.describe():40s} -> "
-                          f"{_fmt(cur)}")
+                          f"{format_global_state(succ)}")
         report.findings.append(Finding(
             rule="L002",
             message="replacement livelock: a reachable cycle of states "
@@ -128,67 +109,59 @@ def check_liveness(
             detail="\n".join(detail),
         ))
 
-    report.stats["states"] = len(parent)
-    report.stats["transitions"] = n_transitions
+    report.stats["states"] = len(graph.parent)
+    report.stats["transitions"] = graph.n_transitions
     report.stats["deadlock_states"] = len(deadlocks)
     report.stats["relocation_only_states"] = len(reloc_only)
     return report
 
 
-def _fmt(state: GlobalState) -> str:
-    from repro.analysis.model import format_global_state
-
-    return format_global_state(state)
+#: One edge of a reported cycle: the step and the state it leads to.
+_LoopEdge = tuple[Step, GlobalState]
 
 
 def _find_cycle(
-    model: ProtocolModel,
-    reloc_only: set[GlobalState],
-    enabled: dict[GlobalState, list[Step]],
-    order: list[GlobalState],
-) -> Optional[tuple[GlobalState, list[Step]]]:
+    graph: StateGraph, reloc_only: set[GlobalState],
+) -> Optional[tuple[GlobalState, list[_LoopEdge]]]:
     """First cycle inside the relocation-only region, if any.
 
-    DFS restricted to relocation-only states, seeded in BFS discovery
-    order so the reported entry state is as shallow as possible.  The
-    region is tiny (empty for the shipped table; at most ``4^(nodes
-    * lines)`` states for a mutated one), so plain recursion is fine.
-    Returns ``(entry_state, steps_around_the_cycle)``.
+    DFS over the graph's edges restricted to relocation-only states,
+    seeded in BFS order so the reported entry state is as shallow as
+    possible.  The region is tiny (empty for the shipped table; at most
+    ``4^(nodes * lines)`` states for a mutated one), so plain recursion
+    is fine.  Returns ``(entry_state, edges_around_the_cycle)``.
     """
     visited: set[GlobalState] = set()
-    for seed in order:
+    for seed in graph.edges:
         if seed not in reloc_only or seed in visited:
             continue
-        found = _dfs(model, seed, reloc_only, enabled, visited, {}, [])
+        found = _dfs(graph, seed, reloc_only, visited, {}, [])
         if found is not None:
             return found
     return None
 
 
 def _dfs(
-    model: ProtocolModel,
+    graph: StateGraph,
     state: GlobalState,
     reloc_only: set[GlobalState],
-    enabled: dict[GlobalState, list[Step]],
     visited: set[GlobalState],
     on_path: dict[GlobalState, int],
-    edges: list[Step],
-) -> Optional[tuple[GlobalState, list[Step]]]:
-    on_path[state] = len(edges)
-    for step in enabled[state]:
-        succ = model.apply(state, step)
+    path: list[_LoopEdge],
+) -> Optional[tuple[GlobalState, list[_LoopEdge]]]:
+    on_path[state] = len(path)
+    for step, succ, _ in graph.edges[state]:
         if succ not in reloc_only:
             continue
         if succ in on_path:                # back edge: cycle found
-            return succ, edges[on_path[succ]:] + [step]
+            return succ, path[on_path[succ]:] + [(step, succ)]
         if succ in visited:
             continue
-        edges.append(step)
-        found = _dfs(model, succ, reloc_only, enabled, visited,
-                     on_path, edges)
+        path.append((step, succ))
+        found = _dfs(graph, succ, reloc_only, visited, on_path, path)
         if found is not None:
             return found
-        edges.pop()
+        path.pop()
     del on_path[state]
     visited.add(state)
     return None

@@ -22,14 +22,22 @@ The lifting rules mirror the simulator exactly:
 Lines do not interact (the abstract model has no capacity), so multiple
 lines compose as an interleaved product — useful for checking that the
 invariants are genuinely per-line.
+
+:meth:`ProtocolModel.fire` is the one implementation of a step: it
+returns the successor together with the table cells the step fired.
+:class:`StateGraph` is the one search over the model — a breadth-first
+exploration that keeps every labelled edge and a parent pointer per
+state.  The model checker, the liveness proofs, the C104 bisimulation
+and the coverage pass are all queries over that graph.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.coma.protocol import EVENTS, STATES, TRANSITIONS, Transition
+from repro.coma.protocol import TRANSITIONS, Transition
 from repro.coma.states import EXCLUSIVE, INVALID, SHARED, state_name
 
 #: Events a node can trigger on its own; the remaining events in
@@ -40,6 +48,21 @@ LOCAL_EVENTS = ("local_read", "local_write", "evict")
 LineState = tuple[int, ...]
 #: Full global state: one LineState per modeled line.
 GlobalState = tuple[LineState, ...]
+
+#: One table cell: (state letter, event, sharer tag).  ``tag`` is
+#: "alone"/"sharers" for the sharer-dependent inject rows, "-" otherwise.
+Cell = tuple[str, str, str]
+
+#: Sharer tag for sharer-independent cells.
+NO_TAG = "-"
+
+#: Hard backstop on explored states; real configurations explore far fewer.
+MAX_STATES = 1_000_000
+
+#: Remote event every other node snoops when a row carries a bus action
+#: (``replace`` is handled via the receiver instead).
+_SNOOPED = {"read": "remote_read", "read_excl": "remote_write",
+            "upgrade": "remote_write"}
 
 
 @dataclass(frozen=True)
@@ -100,7 +123,9 @@ class ProtocolModel:
         return (ls,) * self.n_lines
 
     def _row(self, state: int, event: str) -> Optional[Transition]:
-        return self.table.get((state, event))
+        """The row for ``(state, event)``, or None when it cannot fire."""
+        row = self.table.get((state, event))
+        return None if row is None or row.next_state is None else row
 
     # ------------------------------------------------------------------
     def steps(self, gs: GlobalState) -> list[Step]:
@@ -110,7 +135,7 @@ class ProtocolModel:
             for node, state in enumerate(ls):
                 for event in LOCAL_EVENTS:
                     row = self._row(state, event)
-                    if row is None or row.next_state is None:
+                    if row is None:
                         continue
                     if event == "evict" and row.bus_action == "replace":
                         for rcv in self.receivers(ls, node):
@@ -126,73 +151,139 @@ class ProtocolModel:
         for line, ls in enumerate(gs):
             for node, state in enumerate(ls):
                 row = self._row(state, "evict")
-                if row is None or row.next_state is None:
-                    continue
-                if row.bus_action == "replace" and not self.receivers(ls, node):
+                if (row is not None and row.bus_action == "replace"
+                        and not self.receivers(ls, node)):
                     out.append(Step(line, node, "evict"))
         return out
 
     def receivers(self, ls: LineState, evictor: int) -> list[int]:
         """Nodes whose ``inject`` row can accept a relocated line."""
-        out = []
-        for node, state in enumerate(ls):
-            if node == evictor:
-                continue
-            row = self._row(state, "inject")
-            if row is not None and row.next_state is not None:
-                out.append(node)
-        return out
+        return [
+            node for node, state in enumerate(ls)
+            if node != evictor and self._row(state, "inject") is not None
+        ]
 
     # ------------------------------------------------------------------
     def apply(self, gs: GlobalState, step: Step) -> GlobalState:
         """The global state after ``step``."""
+        return self.fire(gs, step)[0]
+
+    def fire(
+        self, gs: GlobalState, step: Step
+    ) -> tuple[GlobalState, tuple[Cell, ...]]:
+        """The global state after ``step`` and the table cells it fired:
+        the actor's row, each snooping node's remote row, then the
+        receiver's ``inject`` row resolved against the surviving sharer
+        set (tagged alone/sharers when the row is sharer-dependent)."""
         ls = list(gs[step.line])
         actor = step.node
         row = self._row(ls[actor], step.event)
-        if row is None or row.next_state is None:
+        if row is None:
             raise ValueError(f"step not enabled: {step.describe()}")
+        cells = [(state_name(ls[actor]), step.event, NO_TAG)]
 
-        # Bus side effects: every other node snoops the matching remote
-        # event.  (``replace`` is handled below via the receiver.)
-        if row.bus_action == "read":
-            self._broadcast(ls, actor, "remote_read")
-        elif row.bus_action in ("read_excl", "upgrade"):
-            self._broadcast(ls, actor, "remote_write")
+        remote = _SNOOPED.get(row.bus_action)
+        if remote is not None:
+            for node, state in enumerate(ls):
+                snoop = self._row(state, remote)
+                if node != actor and snoop is not None:
+                    cells.append((state_name(state), remote, NO_TAG))
+                    ls[node] = snoop.next_state
 
         ls[actor] = row.next_state
 
         if step.receiver is not None:
-            rcv_row = self._row(ls[step.receiver], "inject")
-            if rcv_row is None or rcv_row.next_state is None:
+            rcv_state = ls[step.receiver]
+            rcv_row = self._row(rcv_state, "inject")
+            if rcv_row is None:
                 raise ValueError(f"receiver cannot accept: {step.describe()}")
             sharers_exist = any(
                 s == SHARED
                 for n, s in enumerate(ls)
                 if n not in (actor, step.receiver)
             )
+            tag = NO_TAG
+            if rcv_row.next_state_sharers not in (None, rcv_row.next_state):
+                tag = "sharers" if sharers_exist else "alone"
+            cells.append((state_name(rcv_state), "inject", tag))
             ls[step.receiver] = rcv_row.resolved(sharers_exist)
 
         new = list(gs)
         new[step.line] = tuple(ls)
-        return tuple(new)
-
-    def _broadcast(self, ls: list[int], actor: int, remote_event: str) -> None:
-        for node in range(self.n_nodes):
-            if node == actor:
-                continue
-            row = self._row(ls[node], remote_event)
-            if row is not None and row.next_state is not None:
-                ls[node] = row.next_state
+        return tuple(new), tuple(cells)
 
 
-def table_from(
-    transitions: Iterable[Transition],
-) -> dict[tuple[int, str], Transition]:
-    """Index a transition sequence by (state, event), last row winning —
-    handy for building mutated tables in tests."""
-    return {(t.state, t.event): t for t in transitions}
+#: One labelled out-edge of the state graph.
+Edge = tuple[Step, GlobalState, tuple[Cell, ...]]
+#: One counterexample entry: the step taken and the state it produced
+#: (None: the step would lose the line).  The initial state has step None.
+TraceEntry = tuple[Optional[Step], Optional[GlobalState]]
 
 
-def all_pairs() -> list[tuple[int, str]]:
-    """Every (state, event) pair the table must cover."""
-    return [(s, e) for s in STATES for e in EVENTS]
+class StateGraph:
+    """Every global state reachable from ``model.initial_state()``,
+    explored breadth-first.
+
+    ``edges`` maps each expanded state, in BFS order, to its complete
+    ``(step, successor, cells)`` out-edges in :meth:`ProtocolModel.steps`
+    order.  ``parent`` maps each discovered state to the ``(previous
+    state, step)`` that first reached it (None for the initial state);
+    FIFO order makes those paths — and so every counterexample built by
+    :meth:`trace_to` — minimal.  Once ``max_states`` states are
+    discovered the search stops and ``truncated`` is set; the state being
+    expanded still keeps all its edges, some leading out of the graph.
+    """
+
+    def __init__(self, model: ProtocolModel, max_states: int = MAX_STATES) -> None:
+        self.model = model
+        init = model.initial_state()
+        self.parent: dict[GlobalState, Optional[tuple[GlobalState, Step]]] = {init: None}
+        self.edges: dict[GlobalState, list[Edge]] = {}
+        self.truncated = False
+        queue = deque([init])
+        while queue and not self.truncated:
+            state = queue.popleft()
+            out: list[Edge] = []
+            self.edges[state] = out
+            for step in model.steps(state):
+                succ, cells = model.fire(state, step)
+                out.append((step, succ, cells))
+                if succ in self.parent:
+                    continue
+                if len(self.parent) >= max_states:
+                    self.truncated = True
+                else:
+                    self.parent[succ] = (state, step)
+                    queue.append(succ)
+
+    @property
+    def n_transitions(self) -> int:
+        return sum(len(out) for out in self.edges.values())
+
+    def trace_to(self, state: GlobalState) -> list[TraceEntry]:
+        """The (step, resulting state) path from the initial state to
+        ``state``; the first entry has step None (the initial state)."""
+        path: list[TraceEntry] = []
+        cur: Optional[GlobalState] = state
+        while cur is not None:
+            link = self.parent[cur]
+            path.append((None if link is None else link[1], cur))
+            cur = None if link is None else link[0]
+        path.reverse()
+        return path
+
+    def counterexample(self, state: GlobalState, *tail: TraceEntry) -> str:
+        """:func:`format_trace` of the path to ``state``, then ``tail``."""
+        return format_trace(self.trace_to(state) + list(tail))
+
+
+def format_trace(trace: Sequence[TraceEntry]) -> str:
+    """Render a counterexample as numbered events with per-node states."""
+    lines = ["counterexample trace (states are per-node, nodes left to right):"]
+    for i, (step, state) in enumerate(trace):
+        states = format_global_state(state) if state is not None else "(would lose the line)"
+        if step is None:
+            lines.append(f"  init: {states}")
+        else:
+            lines.append(f"  step {i}: {step.describe():40s} -> {states}")
+    return "\n".join(lines)

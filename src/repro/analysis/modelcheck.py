@@ -1,11 +1,12 @@
 """Exhaustive model checker for the E/O/S/I protocol table.
 
-Breadth-first enumeration of every reachable global state of
-:class:`repro.analysis.model.ProtocolModel` for a small configuration
-(2–4 nodes, 1–2 lines), evaluating the machine-wide invariants of
-:mod:`repro.analysis.invariants` on every state and the no-lost-copy
-rule on every relocation.  BFS order makes the first violation's event
-trace *minimal*: the shortest interleaving that corrupts the protocol.
+A query over the :class:`repro.analysis.model.StateGraph` of a small
+configuration (2–4 nodes, 1–2 lines): every reachable global state is
+checked against the machine-wide invariants of
+:mod:`repro.analysis.invariants` and the no-lost-copy rule on every
+relocation.  States are visited in BFS order, so the first violation's
+event trace is *minimal*: the shortest interleaving that corrupts the
+protocol.
 
 The state space is tiny (≤ 4^(nodes·lines) states), so exhaustive search
 is instant — the value is that *all* interleavings are covered, where the
@@ -21,21 +22,17 @@ Typical use::
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 from repro.analysis.invariants import check_line_state, check_table
 from repro.analysis.model import (
+    MAX_STATES,
     GlobalState,
     ProtocolModel,
-    Step,
-    format_global_state,
+    StateGraph,
 )
 from repro.analysis.report import AnalysisReport, Finding
 from repro.coma.protocol import TRANSITIONS, Transition
-
-#: Hard backstop; real configurations explore far fewer states.
-MAX_STATES = 1_000_000
 
 
 def check_protocol(
@@ -56,50 +53,23 @@ def check_protocol(
         report.findings.extend(check_table(transitions))
 
     model = ProtocolModel(transitions, n_nodes=n_nodes, n_lines=n_lines)
-    init = model.initial_state()
-
-    # parent[state] = (previous state, step that reached it); FIFO order
-    # makes discovery depths — and therefore counterexamples — minimal.
-    parent: dict[GlobalState, Optional[tuple[GlobalState, Step]]] = {init: None}
-    queue = deque([init])
-    n_transitions = 0
-    violation: Optional[Finding] = None
-    truncated = False
-
-    while queue and violation is None and not truncated:
-        state = queue.popleft()
-        violation = _check_state(model, state, parent)
-        if violation is not None:
-            break
-        for step in model.steps(state):
-            n_transitions += 1
-            succ = model.apply(state, step)
-            if succ not in parent:
-                if len(parent) >= max_states:
-                    truncated = True
-                    break
-                parent[succ] = (state, step)
-                queue.append(succ)
-
-    if truncated:
+    graph = StateGraph(model, max_states)
+    violation = next(filter(None, (_check_state(graph, s) for s in graph.edges)), None)
+    if violation is not None:
+        report.findings.append(violation)
+    elif graph.truncated:
         report.findings.append(Finding(
             rule="I001",
             message=f"state-space exceeded {max_states} states — the table "
             "very likely leaks copies",
             path="model-check",
         ))
-    if violation is not None:
-        report.findings.append(violation)
-    report.stats["states"] = len(parent)
-    report.stats["transitions"] = n_transitions
+    report.stats["states"] = len(graph.parent)
+    report.stats["transitions"] = graph.n_transitions
     return report
 
 
-def _check_state(
-    model: ProtocolModel,
-    state: GlobalState,
-    parent: dict[GlobalState, Optional[tuple[GlobalState, Step]]],
-) -> Optional[Finding]:
+def _check_state(graph: StateGraph, state: GlobalState) -> Optional[Finding]:
     """First invariant violation in ``state``, with its trace attached."""
     for line, ls in enumerate(state):
         hit = check_line_state(ls)
@@ -111,53 +81,17 @@ def _check_state(
                 rule=rule,
                 message=message,
                 path="model-check",
-                detail=format_trace(trace_to(state, parent)),
+                detail=graph.counterexample(state),
             )
-    for step in model.stuck_relocations(state):
-        trace = trace_to(state, parent) + [(step, None)]
+    for step in graph.model.stuck_relocations(state):
         return Finding(
             rule="I004",
             message=f"{step.describe()}: the owner must evict but no node "
             "can accept the relocation — the last copy would be dropped",
             path="model-check",
-            detail=format_trace(trace),
+            detail=graph.counterexample(state, (step, None)),
         )
     return None
-
-
-def trace_to(
-    state: GlobalState,
-    parent: dict[GlobalState, Optional[tuple[GlobalState, Step]]],
-) -> list[tuple[Optional[Step], Optional[GlobalState]]]:
-    """Reconstruct the (step, resulting state) path from the initial
-    state to ``state``; the first entry has step None (the initial state)."""
-    path: list[tuple[Optional[Step], Optional[GlobalState]]] = []
-    cur: Optional[GlobalState] = state
-    while cur is not None:
-        link = parent[cur]
-        if link is None:
-            path.append((None, cur))
-            cur = None
-        else:
-            prev, step = link
-            path.append((step, cur))
-            cur = prev
-    path.reverse()
-    return path
-
-
-def format_trace(
-    trace: list[tuple[Optional[Step], Optional[GlobalState]]],
-) -> str:
-    """Render a counterexample as numbered events with per-node states."""
-    lines = ["counterexample trace (states are per-node, nodes left to right):"]
-    for i, (step, state) in enumerate(trace):
-        states = format_global_state(state) if state is not None else "(would lose the line)"
-        if step is None:
-            lines.append(f"  init: {states}")
-        else:
-            lines.append(f"  step {i}: {step.describe():40s} -> {states}")
-    return "\n".join(lines)
 
 
 def format_report(report: AnalysisReport) -> str:

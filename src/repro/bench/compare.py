@@ -10,6 +10,12 @@
 
 A missing suite gates alongside regressions: a suite silently dropping
 out of the bench must fail CI, not slip through as "nothing got slower".
+
+Raw wall times are only comparable when both runs did the same work, so
+a ``quick`` payload is never compared with a full one, nor a suite whose
+``work`` differs.  Each field is checked only when both payloads record
+it: the rolling-median baseline of ``coma-sim history trend`` carries
+neither.
 """
 
 from __future__ import annotations
@@ -78,10 +84,14 @@ def compare_benches(old: dict, new: dict,
 
     ``change_pct`` is the wall-time change relative to old (positive =
     slower).  A suite regresses when ``change_pct > threshold_pct``
-    strictly — a change of exactly the threshold still passes.
+    strictly — a change of exactly the threshold still passes.  Raises
+    :class:`BenchFileError` when the payloads did different work.
     """
     rows: list[dict] = []
     old_suites, new_suites = old["suites"], new["suites"]
+    _check_comparable(old, new, "")
+    for name in sorted(set(old_suites) & set(new_suites)):
+        _check_comparable(old_suites[name], new_suites[name], f"suite {name!r}: ")
     for name in sorted(set(old_suites) | set(new_suites)):
         o, n = old_suites.get(name), new_suites.get(name)
         if o is None:
@@ -108,6 +118,17 @@ def compare_benches(old: dict, new: dict,
             "old_wall_s": ow, "new_wall_s": nw, "change_pct": change,
         })
     return rows
+
+
+def _check_comparable(old: dict, new: dict, where: str) -> None:
+    """Raise :class:`BenchFileError` when ``old`` and ``new`` both record
+    ``quick`` or ``work`` and disagree on it."""
+    for field in ("quick", "work"):
+        if field in old and field in new and old[field] != new[field]:
+            raise BenchFileError(
+                f"{where}cannot compare runs with different {field!r} "
+                f"({old[field]!r} vs {new[field]!r})"
+            )
 
 
 def has_regression(rows: list[dict]) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NoReturn
 
 from repro.common.errors import ConfigError
 from repro.experiments.runner import RunSpec, check_spec, run_spec
@@ -52,6 +53,26 @@ def _recording(args: argparse.Namespace, source: str):
     finally:
         set_history_recorder(None)
         print(rec.summary(), file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Report a bad command line as one ``error:`` line and exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
+def _count(minimum: int) -> Callable[[str], int]:
+    """argparse type for a count option: an integer of at least
+    ``minimum``, which is 0 only where a zero count means "off"."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def _valid(spec: RunSpec) -> RunSpec:
@@ -769,13 +790,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
                 outcome = HistoryArchive(args.archive).record_bench(new)
                 print(f"history: bench {outcome}", file=sys.stderr)
+        if old is None:
+            return 0
+        rows = compare_benches(old, new, threshold_pct=args.threshold)
     except (BenchFileError, BenchBaselineError, ValueError) as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
-    if old is None:
-        return 0
     print(f"baseline: {label}", file=sys.stderr)
-    rows = compare_benches(old, new, threshold_pct=args.threshold)
     print(format_comparison(rows, args.threshold))
     return 1 if has_regression(rows) else 0
 
@@ -1034,7 +1055,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="coma-sim",
         description="Cluster-based COMA multiprocessor simulator "
         "(Landin & Karlgren, IPPS 1997 reproduction)",
@@ -1108,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     vf.add_argument("--nodes", type=int, default=3, choices=[2, 3, 4])
     vf.add_argument("--lines", type=int, default=1, choices=[1, 2])
-    vf.add_argument("--depth", type=int, default=3,
+    vf.add_argument("--depth", type=_count(1), default=3,
                     help="crosscheck op-sequence depth")
     vf.add_argument("--no-crosscheck", action="store_true",
                     help="skip driving the executable machine")
@@ -1137,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--procs-per-node", type=int, default=1)
     pf.add_argument("--memory-pressure", type=float, default=0.5)
     pf.add_argument("--scale", type=float, default=1.0)
-    pf.add_argument("--every", type=int, default=5000)
+    pf.add_argument("--every", type=_count(1), default=5000)
     pf.set_defaults(func=_cmd_profile)
 
     exp = sub.add_parser("export", help="export figure data as CSV/JSON")
@@ -1191,7 +1212,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _traced(at)
     at.add_argument("--format", choices=["table", "json"], default="table")
-    at.add_argument("--top-spans", type=int, default=10, metavar="N",
+    at.add_argument("--top-spans", type=_count(0), default=10, metavar="N",
                     help="keep full span trees for the N slowest accesses")
     at.add_argument("--out", metavar="PATH",
                     help="write the report to a file instead of stdout")
@@ -1215,7 +1236,7 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--format", choices=["table", "json"], default="table")
     bo.add_argument("--out", metavar="PATH",
                     help="write the report to a file instead of stdout")
-    bo.add_argument("--max-witnesses", type=int, default=25, metavar="N",
+    bo.add_argument("--max-witnesses", type=_count(0), default=25, metavar="N",
                     help="keep at most N violation witnesses")
     bo.set_defaults(func=_cmd_bounds)
 
@@ -1253,9 +1274,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(races, stale values, relocation ping-pong)",
     )
     _traced(sz)
-    sz.add_argument("--window", type=int, default=32, metavar="N",
+    sz.add_argument("--window", type=_count(1), default=32, metavar="N",
                     help="trailing events attached to each finding")
-    sz.add_argument("--pingpong", type=int, default=24, metavar="N",
+    sz.add_argument("--pingpong", type=_count(1), default=24, metavar="N",
                     help="chained relocations before L003 fires")
     sz.add_argument("--allow", nargs="*", metavar="RULE",
                     help="rule IDs to suppress (e.g. R002 L003)")
@@ -1389,7 +1410,7 @@ def build_parser() -> argparse.ArgumentParser:
                     " omitted: list the busiest lines")
     ex.add_argument("--top", type=int, default=10,
                     help="how many busy lines to list without --line")
-    ex.add_argument("--slowest", type=int, default=0, metavar="N",
+    ex.add_argument("--slowest", type=_count(0), default=0, metavar="N",
                     help="narrate the N slowest accesses as full span trees")
     ex.set_defaults(func=_cmd_explain)
 

@@ -217,6 +217,9 @@ class MachineConfig:
             raise ConfigError("page_size must be a multiple of line_size")
         if not (0 < self.memory_pressure <= 1):
             raise ConfigError("memory_pressure must be in (0, 1]")
+        for name in ("am_assoc", "slc_assoc"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.am_victim_policy not in ("shared_first", "lru"):
             raise ConfigError(f"unknown am_victim_policy {self.am_victim_policy!r}")
         if self.replacement_receiver_policy not in ("accept", "random"):

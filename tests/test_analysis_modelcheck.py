@@ -25,13 +25,31 @@ def mutate(key: tuple[int, str], **changes) -> list[Transition]:
     ]
 
 
+#: (states, transitions) of the shipped table for every configuration
+#: ``coma-sim verify`` accepts.
+SHIPPED_COUNTS = {
+    (2, 1): (6, 32),
+    (3, 1): (15, 132),
+    (4, 1): (36, 444),
+    (2, 2): (36, 384),
+    (3, 2): (225, 3_960),
+    (4, 2): (1_296, 31_968),
+}
+
+
 class TestShippedProtocol:
-    @pytest.mark.parametrize("nodes,lines", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("nodes,lines", list(SHIPPED_COUNTS))
     def test_clean(self, nodes, lines):
         report = check_protocol(n_nodes=nodes, n_lines=lines)
         assert report.ok, format_report(report)
-        assert report.stats["states"] > 0
-        assert report.stats["transitions"] > report.stats["states"]
+        states, transitions = SHIPPED_COUNTS[nodes, lines]
+        assert report.stats["states"] == states
+        assert report.stats["transitions"] == transitions
+
+    def test_certified_bisimulation_states(self):
+        from repro.analysis.certify import certify_machines
+
+        assert certify_machines(n_nodes=3).stats["states"] == 45
 
     def test_static_rules_clean(self):
         assert check_table(TRANSITIONS) == []

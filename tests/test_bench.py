@@ -173,6 +173,25 @@ class TestCompare:
         assert statuses == {"a": "ok", "c": "new"}
         assert not has_regression(rows)
 
+    def test_quick_mismatch_refused(self):
+        old = make_bench({"a": entry(1.0)}) | {"quick": True}
+        new = make_bench({"a": entry(1.0)}) | {"quick": False}
+        with pytest.raises(BenchFileError, match="'quick'"):
+            compare_benches(old, new)
+
+    def test_work_mismatch_refused(self):
+        old = make_bench({"a": entry(1.0) | {"work": 100}})
+        new = make_bench({"a": entry(1.0) | {"work": 200}})
+        with pytest.raises(BenchFileError, match="suite 'a'.*'work'"):
+            compare_benches(old, new)
+
+    def test_field_checked_only_when_both_record_it(self):
+        # The rolling-median baseline records neither quick nor work.
+        baseline = make_bench({"a": entry(1.0)})
+        new = make_bench({"a": entry(1.0) | {"work": 200}}) | {"quick": True}
+        rows = compare_benches(baseline, new)
+        assert rows[0]["status"] == "ok"
+
     def test_format_mentions_verdict(self):
         rows = compare_benches(
             make_bench({"a": entry(1.0)}), make_bench({"a": entry(2.0)}),
@@ -221,6 +240,17 @@ class TestCli:
         rc = main(["bench", "--compare", str(bad), "--new", str(ok)])
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_bench_compare_mismatch_is_one_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        old = tmp_path / "old.json"
+        new = tmp_path / "new.json"
+        old.write_text(json.dumps(make_bench({"a": entry(1.0)}) | {"quick": True}))
+        new.write_text(json.dumps(make_bench({"a": entry(1.0)}) | {"quick": False}))
+        assert main(["bench", "--compare", str(old), "--new", str(new)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'quick'" in err
 
     def test_bench_new_requires_compare(self, tmp_path, capsys):
         from repro.cli import main

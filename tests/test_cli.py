@@ -86,6 +86,7 @@ class TestInvalidSpecs:
         (["run", "fft", "--memory-pressure", "1.5"],
          "error: memory_pressure must be in (0, 1]"),
         (["run", "fft", "--scale", "0"], "error: scale must be positive"),
+        (["run", "fft", "--am-assoc", "0"], "error: am_assoc must be >= 1, got 0"),
     ])
     def test_one_line_error_and_exit_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -93,6 +94,30 @@ class TestInvalidSpecs:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err == message + "\n"
+
+    @pytest.mark.parametrize("argv, option, minimum, value", [
+        (["verify"], "--depth", 1, "0"),
+        (["verify"], "--depth", 1, "-1"),
+        (["sanitize", "fft"], "--pingpong", 1, "-1"),
+        (["sanitize", "fft"], "--window", 1, "0"),
+        (["profile", "synth_private"], "--every", 1, "0"),
+        (["profile", "synth_private"], "--every", 1, "-5"),
+        (["explain", "fft"], "--slowest", 0, "-1"),
+        (["attribute", "fft"], "--top-spans", 0, "-1"),
+        (["bounds", "fft"], "--max-witnesses", 0, "-1"),
+    ])
+    def test_bad_count_rejected(self, argv, option, minimum, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: argument {option}: must be >= {minimum}, got {value}\n"
+        )
+
+    def test_zero_count_means_off(self):
+        args = build_parser().parse_args(["explain", "fft", "--slowest", "0"])
+        assert args.slowest == 0
 
 
 class TestCommands:
