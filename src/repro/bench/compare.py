@@ -13,9 +13,9 @@ out of the bench must fail CI, not slip through as "nothing got slower".
 
 Raw wall times are only comparable when both runs did the same work, so
 a ``quick`` payload is never compared with a full one, nor a suite whose
-``work`` differs.  Each field is checked only when both payloads record
-it: the rolling-median baseline of ``coma-sim history trend`` carries
-neither.
+``work`` or ``spec_key`` (the simulated configuration) differs.  Each
+field is checked only when both payloads record it: the rolling-median
+baseline of ``coma-sim history trend`` carries none of them.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def compare_benches(old: dict, new: dict,
 
 def _check_comparable(old: dict, new: dict, where: str) -> None:
     """Raise :class:`BenchFileError` when ``old`` and ``new`` both record
-    ``quick`` or ``work`` and disagree on it."""
-    for field in ("quick", "work"):
+    ``quick``, ``work`` or ``spec_key`` and disagree on it."""
+    for field in ("quick", "work", "spec_key"):
         if field in old and field in new and old[field] != new[field]:
             raise BenchFileError(
                 f"{where}cannot compare runs with different {field!r} "

@@ -6,6 +6,7 @@ Schema (``BENCH_SCHEMA = 1``)::
       "schema": 1,
       "timestamp": "2026-01-01T00:00:00+00:00",
       "git_rev": "abc123" | null,
+      "git_dirty": false | null,     # uncommitted changes at git_rev
       "repro_version": "x.y",
       "cache_version": 8,
       "quick": false,
@@ -47,11 +48,12 @@ BENCH_SCHEMA = 1
 def _provenance() -> dict:
     from repro import __version__
     from repro.experiments.runner import CACHE_VERSION
-    from repro.obs.manifest import git_revision
+    from repro.obs.manifest import git_dirty, git_revision
 
     return {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_rev": git_revision(),
+        "git_dirty": git_dirty(),
         "repro_version": __version__,
         "cache_version": CACHE_VERSION,
     }

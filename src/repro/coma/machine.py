@@ -243,7 +243,8 @@ class ComaMachine:
             if shadow is not None:
                 shadow.access(line)
             c.am_read_hits += 1
-            self._fill_hierarchy(proc, node, line, way)
+            am.aux_a[way] |= 1 << (proc % self._ppn)
+            self._fill_slc(proc, node, line)
             if trace is not None:
                 trace.access(now, proc, "r", line, LEVEL_AM, done - now,
                              addr)
@@ -266,7 +267,8 @@ class ComaMachine:
                 if shadow is not None:
                     shadow.access(line)
                 c.slc_neighbor_hits += 1
-                self._fill_slc_resident(proc, node, line, sr)
+                sr[0] |= 1 << (proc % self._ppn)
+                self._fill_slc(proc, node, line)
                 if trace is not None:
                     trace.access(now, proc, "r", line, LEVEL_AM, done - now,
                                  addr)
@@ -300,7 +302,8 @@ class ComaMachine:
             trace.transition(t, node.id, line, "fill", "I", "S")
         s = node.dram.acquire(t, self._t_dram_busy, self._bg)
         done = s + self._t_dram_lat + self._t_remote
-        self._fill_hierarchy(proc, node, line, way)
+        am.aux_a[way] |= 1 << (proc % self._ppn)
+        self._fill_slc(proc, node, line)
         if trace is not None:
             trace.phase("fill_dram", s + self._t_dram_lat)
             trace.access(now, proc, "r", line, LEVEL_REMOTE,
@@ -457,7 +460,8 @@ class ComaMachine:
             shadow.access(line)
         s = node.dram.acquire(t, self._t_dram_busy, self._bg)
         t = s + self._t_dram_lat
-        self._fill_hierarchy(proc, node, line, way)
+        am.aux_a[way] |= 1 << (proc % self._ppn)
+        self._fill_slc(proc, node, line)
         self.slcs[proc].mark_dirty(line)
         if trace is not None:
             trace.phase("fill_dram", t)
@@ -486,13 +490,15 @@ class ComaMachine:
             return s + self._t_slc, LEVEL_SLC
         if way >= 0:
             done = self._am_access(node, t)
-            self._fill_hierarchy(proc, node, line, way)
+            node.am.aux_a[way] |= 1 << (proc % self._ppn)
+            self._fill_slc(proc, node, line)
             slc.mark_dirty(line)
             return done, LEVEL_AM
         if sr is not None:
             # Fetched from a neighbour SLC within the node (non-inclusive).
             done = self._am_access(node, t)
-            self._fill_slc_resident(proc, node, line, sr)
+            sr[0] |= 1 << (proc % self._ppn)
+            self._fill_slc(proc, node, line)
             slc.mark_dirty(line)
             return done, LEVEL_AM
         # Owner copy parked in overflow: write at AM level, no SLC fill.
@@ -639,27 +645,50 @@ class ComaMachine:
     # ------------------------------------------------------------------
 
     @hotpath
-    def _fill_hierarchy(
-        self, proc: int, node: ComaNode, line: int, way: int
-    ) -> None:
-        """Install ``line`` into ``proc``'s SLC and L1 after an AM-level hit
-        or a remote fill, handling the SLC victim's write-back.
+    def _fill_slc(self, proc: int, node: ComaNode, line: int) -> None:
+        """Install ``line`` into ``proc``'s SLC and L1 after an AM-level
+        hit, a neighbour-SLC hit or a remote fill, handling the SLC
+        victim.
 
-        The presence bit is recorded *before* the victim's consequences
-        are processed: in a non-inclusive hierarchy the victim handling
-        can displace ``line`` itself from the AM (owner reinsertion picks
-        a victim in the same set), and the displacement machinery then
-        sees an accurate picture and migrates the bit to
+        The caller sets ``proc``'s presence bit first — in ``am.aux_a``
+        or in the line's ``slc_resident`` mask — so the victim's
+        consequences see an accurate picture: in a non-inclusive
+        hierarchy they can displace ``line`` itself from the AM (owner
+        reinsertion picks a victim in the same set), and the
+        displacement machinery then migrates the bit to
         ``slc_resident``.  The L1 fill happens only if the line survived
         in this SLC.
+
+        The common victim case is handled here: the victim is still in
+        the AM, so its presence bit is cleared, its L1 copy dropped and
+        a dirty victim written back to DRAM.  A victim held only in
+        local SLCs (non-inclusive) goes to :meth:`_handle_slc_victim`.
         """
-        node.am.aux_a[way] |= 1 << (proc % self._ppn)
         slc = self.slcs[proc]
         packed = slc.fill(line)
+        l1_direct = self._l1_direct
         if packed >= 0:
-            self._handle_slc_victim(proc, node, packed)
+            victim = packed >> 1
+            if l1_direct:
+                a = self._l1_arrays[proc]
+                w = victim % self._l1_nsets
+                if a.line_a[w] == victim and a.state_a[w]:
+                    a.line_a[w] = -1
+                    a.state_a[w] = 0
+                    del a.index[victim]
+            else:
+                self.l1s[proc].invalidate(victim)
+            am = node.am
+            vw = am.index.get(victim)
+            if vw is not None:
+                am.aux_a[vw] &= ~(1 << (proc % self._ppn))
+                if packed & 1:
+                    node.dram.acquire(self.now, self._t_dram_busy, self._bg)
+                    self.counters.slc_writebacks += 1
+            else:
+                self._handle_slc_victim(proc, node, victim)
         if line in slc.index:
-            if self._l1_direct:
+            if l1_direct:
                 a = self._l1_arrays[proc]
                 w = line % self._l1_nsets
                 if a.line_a[w] != line or not a.state_a[w]:
@@ -673,56 +702,17 @@ class ComaMachine:
             else:
                 self.l1s[proc].fill(line)
 
-    @hotpath
-    def _fill_slc_resident(
-        self, proc: int, node: ComaNode, line: int, sr: list
-    ) -> None:
-        """Non-inclusive: install a line that lives only in local SLCs."""
-        sr[0] |= 1 << (proc % self._ppn)
-        slc = self.slcs[proc]
-        if line not in slc.index:
-            packed = slc.fill(line)
-            if packed >= 0:
-                self._handle_slc_victim(proc, node, packed)
-        if line in slc.index:
-            self.l1s[proc].fill(line)
-
-    @hotpath
-    def _handle_slc_victim(self, proc: int, node: ComaNode, packed: int) -> None:
-        """Consequences of an SLC eviction (``packed = line << 1 | dirty``).
-
-        Inclusive hierarchy: clear the AM entry's presence bit and write
-        back dirty data.  Non-inclusive hierarchy: the evicted line may
-        exist *only* in SLCs; when the last SLC copy of an owner line goes,
-        the line is written back into the AM (which may displace another
-        owner through the normal replacement machinery) so the datum is
-        never lost.
-        """
-        line = packed >> 1
-        bit = 1 << (proc % self._ppn)
-        if self._l1_direct:
-            a = self._l1_arrays[proc]
-            w = line % self._l1_nsets
-            if a.line_a[w] == line and a.state_a[w]:
-                a.line_a[w] = -1
-                a.state_a[w] = 0
-                del a.index[line]
-        else:
-            self.l1s[proc].invalidate(line)
-        am = node.am
-        vw = am.index.get(line)
-        if vw is not None:
-            am.aux_a[vw] &= ~bit
-            if packed & 1:
-                # Dirty-writeback branches are exclusive; each resolves
-                # node.dram once, so there is no prefix worth hoisting.
-                node.dram.acquire(self.now, self._t_dram_busy, self._bg)  # noqa: HOT003
-                self.counters.slc_writebacks += 1
-            return
+    def _handle_slc_victim(self, proc: int, node: ComaNode, line: int) -> None:
+        """Non-inclusive hierarchy: ``line`` left ``proc``'s SLC and is
+        not in the AM, so it may exist *only* in local SLCs.  When the
+        last SLC copy of an owner line goes, the line is written back
+        into the AM (which may displace another owner through the normal
+        replacement machinery) so the datum is never lost; the last copy
+        of a shared line is dropped."""
         sr = node.slc_resident.get(line)
         if sr is None:
             return  # line already left the node at AM level
-        sr[0] &= ~bit
+        sr[0] &= ~(1 << (proc % self._ppn))
         if sr[0]:
             return  # other local SLCs still hold it
         state = sr[1]
@@ -739,7 +729,7 @@ class ComaMachine:
         # Last copy of an owner line: reinsert into the attraction memory.
         way = self.repl.make_room(node, line, self.now, mandatory=True)
         assert way is not None
-        am.fill_way(way, line, state)
+        node.am.fill_way(way, line, state)
         node.note_present(line)
         info.owner_loc = LOC_AM
         node.dram.acquire(self.now, self._t_dram_busy, self._bg)

@@ -67,18 +67,30 @@ def manifest_path(cache_dir: Union[str, Path], key: str) -> Path:
     return Path(cache_dir) / f"{key}{MANIFEST_SUFFIX}"
 
 
-def git_revision(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
-    """Current git commit hash, or None outside a repository."""
+def _git(cwd: Optional[Union[str, Path]], *args: str) -> Optional[str]:
+    """Stripped stdout of ``git *args``, or None when git fails (outside
+    a repository, or no git at all)."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=str(cwd) if cwd is not None else None,
             capture_output=True, text=True, timeout=5,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def git_revision(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
+    """Current git commit hash, or None outside a repository."""
+    return _git(cwd, "rev-parse", "HEAD") or None
+
+
+def git_dirty(cwd: Optional[Union[str, Path]] = None) -> Optional[bool]:
+    """Whether the working tree has uncommitted changes (``git status
+    --porcelain`` prints anything), or None outside a repository."""
+    status = _git(cwd, "status", "--porcelain")
+    return None if status is None else bool(status)
 
 
 def provenance_header(

@@ -112,6 +112,16 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Run every thread to completion and collect the results.
 
+        This is the kernel's one event loop.  The ready heap pops the
+        processor with the minimum clock, which then runs until it
+        blocks, finishes, or passes the next clock in the heap.  Reads,
+        posted writes and compute are dispatched in line; locks,
+        barriers and sequentially consistent writes go through their
+        methods.  The event budget, the ``check_every`` consistency check
+        and the profiler sample share one integer stop: they are
+        evaluated, in that order, only when the event count reaches it
+        (see :meth:`_checkpoint`).
+
         If the run dies (deadlock, protocol invariant violation, event
         budget) and a trace sink is attached, the sink's
         ``on_simulation_error`` hook fires — the flight recorder uses it
@@ -119,87 +129,133 @@ class Simulation:
         (if any) is attached to the exception as ``flight_dump``.  A span
         builder in front of the sink appends the access in flight.
         """
+        n = self.events_processed
         try:
             heap = self._heap
-            for p in self.procs:
-                heapq.heappush(heap, (p.clock, p.pid))
+            heappush = heapq.heappush
+            heappop = heapq.heappop
+            procs = self.procs
+            m = self.machine
+            # Bound per run, not per build, so wrappers installed on the
+            # instance after construction are the ones called.
+            read = m.read
+            write = m.write
+            counters = m.counters
+            instructions_ns = m.timing.instructions_ns
+            shift = self._shift
+            sc = self._sc
+            stop = self._next_stop(n)
+            for p in procs:
+                heappush(heap, (p.clock, p.pid))
             while heap:
-                clock, pid = heapq.heappop(heap)
-                p = self.procs[pid]
+                clock, pid = heappop(heap)
+                p = procs[pid]
                 if p.done or p.blocked or p.clock != clock:
                     continue  # stale entry
-                self._advance(p)
+                program = p.program
+                acct = p.acct
+                wb = p.wb
+                # ``clock`` is the processor's clock while it runs here;
+                # it is stored back before any method that reads p.clock.
+                for ev in program:
+                    n += 1
+                    if n >= stop:
+                        self.events_processed = n
+                        stop = self._checkpoint(n)
+                    op = ev[0]
+                    if op == EV_READ:
+                        done, level = read(pid, ev[1], clock)
+                        dt = done - clock
+                        if dt > 0:
+                            # An L1 hit is busy time; every other level
+                            # names its own stall category.
+                            if level == "l1":
+                                acct.busy += dt
+                            elif level == "slc":
+                                acct.slc += dt
+                            elif level == "am":
+                                acct.am += dt
+                            elif level == "remote":
+                                acct.remote += dt
+                            else:
+                                acct.add(level, dt)
+                        clock = done
+                    elif op == EV_COMPUTE:
+                        ns = instructions_ns(ev[1])
+                        acct.busy += ns
+                        clock += ns
+                    elif op == EV_WRITE and not sc:
+                        line = ev[1] >> shift
+                        if wb.try_coalesce(line, clock):
+                            counters.wb_coalesced += 1
+                            continue
+                        now, stall = wb.wait_for_slot(clock)
+                        if stall:
+                            acct.write += stall
+                        wb.push(write(pid, ev[1], now), line)
+                        clock = now
+                    else:
+                        p.clock = clock
+                        self._dispatch_slow(p, ev)
+                        clock = p.clock
+                        if p.blocked:
+                            break
+                    if heap and clock > heap[0][0]:
+                        p.clock = clock
+                        heappush(heap, (clock, pid))
+                        break
+                else:
+                    p.done = True
+                    now, stall = wb.drain(clock)
+                    acct.write += stall
+                    p.clock = now
             self._check_finished()
         except (AssertionError, ReproError) as exc:
             trace = getattr(self.machine, "trace", None)
             if trace is not None:
                 exc.flight_dump = trace.on_simulation_error(exc)
             raise
+        finally:
+            self.events_processed = n
         return self._collect()
 
-    def _advance(self, p: Processor) -> None:
-        """Run ``p`` until it blocks, finishes, or passes the next clock."""
-        heap = self._heap
-        program = p.program
-        assert program is not None
-        while True:
-            try:
-                ev = next(program)
-            except StopIteration:
-                p.done = True
-                now, stall = p.wb.drain(p.clock)
-                p.acct.write += stall
-                p.clock = now
-                return
-            self.events_processed += 1
-            if self.events_processed > self.max_events:
-                raise SimulationError(
-                    f"event budget exceeded ({self.max_events}); runaway workload?"
-                )
-            if self.check_every and self.events_processed % self.check_every == 0:
-                self.machine.check_consistency()
-            if (
-                self.profiler is not None
-                and self.events_processed % self.profile_every == 0
-            ):
-                self.profiler.sample(self.machine)
-            self._dispatch(p, ev)
-            if p.blocked:
-                return
-            if heap and p.clock > heap[0][0]:
-                heapq.heappush(heap, (p.clock, p.pid))
-                return
+    def _next_stop(self, n: int) -> int:
+        """The next event count after ``n`` at which :meth:`_checkpoint`
+        has anything to do: one past the budget, the next multiple of
+        ``check_every``, or the next multiple of ``profile_every`` with a
+        profiler attached."""
+        stop = self.max_events + 1
+        every = self.check_every
+        if every:
+            stop = min(stop, (n // every + 1) * every)
+        if self.profiler is not None:
+            every = self.profile_every
+            stop = min(stop, (n // every + 1) * every)
+        return stop
 
-    # ------------------------------------------------------------------
-    def _dispatch(self, p: Processor, ev: tuple) -> None:
+    def _checkpoint(self, n: int) -> int:
+        """Budget, consistency check and profiler sample due at event
+        ``n`` (before it is dispatched); returns the next stop."""
+        if n > self.max_events:
+            raise SimulationError(
+                f"event budget exceeded ({self.max_events}); runaway workload?"
+            )
+        if self.check_every and n % self.check_every == 0:
+            self.machine.check_consistency()
+        if self.profiler is not None and n % self.profile_every == 0:
+            self.profiler.sample(self.machine)
+        return self._next_stop(n)
+
+    def _dispatch_slow(self, p: Processor, ev: tuple) -> None:
+        """Events the loop does not dispatch in line: sequentially
+        consistent writes and synchronization."""
         op = ev[0]
-        m = self.machine
-        if op == EV_READ:
-            done, level = m.read(p.pid, ev[1], p.clock)
+        if op == EV_WRITE:
+            # Sequential consistency: the store must complete before
+            # the processor proceeds (the ablation's whole cost).
+            done, level = self.machine.write_stalling(p.pid, ev[1], p.clock)
             self._charge(p, level, done - p.clock)
             p.clock = done
-        elif op == EV_WRITE:
-            if self._sc:
-                # Sequential consistency: the store must complete before
-                # the processor proceeds (the ablation's whole cost).
-                done, level = m.write_stalling(p.pid, ev[1], p.clock)
-                self._charge(p, level, done - p.clock)
-                p.clock = done
-                return
-            line = ev[1] >> self._shift
-            if p.wb.try_coalesce(line, p.clock):
-                m.counters.wb_coalesced += 1
-                return
-            now, stall = p.wb.wait_for_slot(p.clock)
-            if stall:
-                p.acct.write += stall
-            completion = m.write(p.pid, ev[1], now)
-            p.wb.push(completion, line)
-            p.clock = now
-        elif op == EV_COMPUTE:
-            ns = m.timing.instructions_ns(ev[1])
-            p.acct.busy += ns
-            p.clock += ns
         elif op == EV_LOCK:
             self._acquire(p, self._lock(ev[1]))
         elif op == EV_UNLOCK:

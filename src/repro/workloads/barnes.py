@@ -13,6 +13,7 @@ real body positions, so the walk's access stream is genuinely irregular.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional
 
 import numpy as np
@@ -26,18 +27,25 @@ from repro.workloads.registry import register
 _CELL_FIELDS = 16
 #: Simulated doubles per body: pos(3) vel(3) acc(3) mass + padding.
 _BODY_FIELDS = 16
+#: Relative half-width of the band around ``theta`` in which the walk's
+#: opening decision is recomputed with ``np.linalg.norm``: the scalar
+#: distance can differ from numpy's in the last few ulps, far inside it.
+_THETA_GUARD = 1e-9
 
 
 class _Cell:
     """Python-side octree cell (structure mirrored in simulated memory)."""
 
-    __slots__ = ("index", "children", "body", "com", "mass", "size", "center")
+    __slots__ = ("index", "children", "body", "com", "com_t", "mass", "size",
+                 "center")
 
     def __init__(self, index: int, center, size: float) -> None:
         self.index = index
         self.children: list[Optional["_Cell"]] = [None] * 8
         self.body: Optional[int] = None  # leaf body id
         self.com = np.zeros(3)
+        #: ``com`` as a tuple of Python floats, for the walk's scalar math.
+        self.com_t = (0.0, 0.0, 0.0)
         self.mass = 0.0
         self.size = size
         self.center = np.asarray(center, dtype=float)
@@ -183,6 +191,7 @@ class BarnesWorkload(Workload):
         if cell.body is not None:
             cell.mass = 1.0
             cell.com = self.pos[cell.body].copy()
+            cell.com_t = tuple(cell.com.tolist())
             return cell.mass, cell.com
         total, com = 0.0, np.zeros(3)
         for ch in cell.children:
@@ -193,22 +202,50 @@ class BarnesWorkload(Workload):
             com += m * c
         cell.mass = total
         cell.com = com / total if total else cell.center
+        cell.com_t = tuple(cell.com.tolist())
         return cell.mass, cell.com
 
     # -- force walk --------------------------------------------------------
 
-    def _walk(self, cell: _Cell, body: int):
-        """Barnes-Hut opening-criterion walk, emitting cell reads."""
-        # Read the cell's center of mass (one line) and children (other line).
-        yield ("r", self._cell_addr(cell.index, 8))
-        d = float(np.linalg.norm(self.pos[body] - cell.com)) + 1e-9
-        if cell.body is not None or cell.size / d < self.theta:
-            yield ("c", 24)  # one body-cell interaction
-            return
-        yield ("r", self._cell_addr(cell.index, 0))
-        for ch in cell.children:
-            if ch is not None:
-                yield from self._walk(ch, body)
+    def _walk(self, root: _Cell, body: int):
+        """Barnes-Hut opening-criterion walk, emitting cell reads.
+
+        A preorder DFS over an explicit stack (children pushed in
+        reverse, so the order matches the recursive definition).  The
+        body-cell distance is scalar float math; where ``size / d`` lies
+        within :data:`_THETA_GUARD` of ``theta`` the decision is redone
+        with ``np.linalg.norm``, whose sum may round differently, so the
+        walk opens exactly the cells the vector formula opens.
+        """
+        pos = self.pos[body]
+        px, py, pz = pos.tolist()
+        theta = self.theta
+        cell_addr = self._cell_addr
+        stack = [root]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            cell = pop()
+            # Read the cell's center of mass (one line) and children
+            # (the other line).
+            yield ("r", cell_addr(cell.index, 8))
+            if cell.body is not None:
+                yield ("c", 24)  # one body-cell interaction
+                continue
+            cx, cy, cz = cell.com_t
+            dx = px - cx
+            dy = py - cy
+            dz = pz - cz
+            ratio = cell.size / (math.sqrt(dx * dx + dy * dy + dz * dz) + 1e-9)
+            if abs(ratio - theta) <= _THETA_GUARD * theta:
+                ratio = cell.size / (float(np.linalg.norm(pos - cell.com)) + 1e-9)
+            if ratio < theta:
+                yield ("c", 24)
+                continue
+            yield ("r", cell_addr(cell.index, 0))
+            for ch in reversed(cell.children):
+                if ch is not None:
+                    push(ch)
 
     # ------------------------------------------------------------------
     def thread(self, tid: int) -> Iterator[tuple]:

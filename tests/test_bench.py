@@ -63,6 +63,8 @@ class TestHarness:
                             only=["l1_hit", "event_loop_instrumented"])
         assert payload["schema"] == BENCH_SCHEMA
         assert payload["cache_version"] >= 8
+        assert payload["git_dirty"] is None or isinstance(payload["git_dirty"], bool)
+        assert (payload["git_dirty"] is None) == (payload["git_rev"] is None)
         assert set(payload["suites"]) == {"l1_hit", "event_loop_instrumented"}
         assert "metrics" in payload  # snapshot from the instrumented suite
         path = write_bench(payload)
@@ -185,10 +187,20 @@ class TestCompare:
         with pytest.raises(BenchFileError, match="suite 'a'.*'work'"):
             compare_benches(old, new)
 
+    def test_spec_key_mismatch_refused(self):
+        old = make_bench({"a": entry(1.0) | {"spec_key": "k1"}})
+        new = make_bench({"a": entry(1.0) | {"spec_key": "k2"}})
+        with pytest.raises(BenchFileError, match="suite 'a'.*'spec_key'") as err:
+            compare_benches(old, new)
+        assert "\n" not in str(err.value)
+
     def test_field_checked_only_when_both_record_it(self):
-        # The rolling-median baseline records neither quick nor work.
+        # The rolling-median baseline records neither quick, work nor
+        # spec_key.
         baseline = make_bench({"a": entry(1.0)})
-        new = make_bench({"a": entry(1.0) | {"work": 200}}) | {"quick": True}
+        new = make_bench(
+            {"a": entry(1.0) | {"work": 200, "spec_key": "k2"}}
+        ) | {"quick": True}
         rows = compare_benches(baseline, new)
         assert rows[0]["status"] == "ok"
 

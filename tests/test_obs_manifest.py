@@ -20,6 +20,7 @@ from repro.experiments.runner import (
 from repro.obs.manifest import (
     MANIFEST_SUFFIX,
     RunManifest,
+    git_dirty,
     git_revision,
     manifest_path,
     provenance_header,
@@ -62,6 +63,23 @@ class TestRunManifest:
         rev = git_revision()
         # The test tree is a git checkout; elsewhere None is acceptable.
         assert rev is None or (len(rev) == 40 and int(rev, 16) >= 0)
+
+    def test_git_dirty_in_repo(self):
+        dirty = git_dirty()
+        # The test tree is a git checkout; elsewhere None is acceptable.
+        assert dirty is None or isinstance(dirty, bool)
+        assert (dirty is None) == (git_revision() is None)
+
+    def test_git_dirty_tracks_the_worktree(self, tmp_path):
+        import subprocess
+
+        if git_revision(tmp_path) is not None:
+            pytest.skip("tmp_path lies inside a git checkout")
+        assert git_dirty(tmp_path) is None
+        subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+        assert git_dirty(tmp_path) is False
+        (tmp_path / "new.txt").write_text("x\n")
+        assert git_dirty(tmp_path) is True
 
 
 class TestProvenanceHeader:

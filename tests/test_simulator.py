@@ -211,3 +211,144 @@ class TestAccountingConservation:
         sim.check_every = 25
         sim.run()
         sim.machine.check_consistency()
+
+
+def _mixed_prog(tid, n_iter=40):
+    """Reads, writes, compute, a lock and a barrier: every loop arm."""
+
+    def gen():
+        for k in range(n_iter):
+            yield ("r", ((tid * 7 + k) % 48) * LINE)
+            yield ("c", 9)
+            yield ("w", ((k * 3 + tid) % 48) * LINE)
+            if k % 8 == 0:
+                yield ("l", 0)
+                yield ("w", 60 * LINE)
+                yield ("u", 0)
+        yield ("b", 0)
+
+    return gen()
+
+
+#: Events in one ``_mixed_prog`` thread at the default ``n_iter``.
+MIXED_EVENTS = 40 * 3 + 5 * 3 + 1
+
+
+class _Log:
+    """Records the event counts at which the kernel's checkpoints fire."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.calls: list[tuple[str, int]] = []
+        check = sim.machine.check_consistency
+
+        def counted_check():
+            self.calls.append(("check", sim.events_processed))
+            check()
+
+        sim.machine.check_consistency = counted_check
+
+    def sample(self, machine):
+        self.calls.append(("sample", self.sim.events_processed))
+
+    def at(self, kind):
+        return [n for k, n in self.calls if k == kind]
+
+
+class TestEventLoopCheckpoints:
+    """The budget, consistency check and profiler sample share one stop
+    counter in the event loop; each must still fire on exactly the
+    events the per-event checks picked."""
+
+    N = 4 * MIXED_EVENTS
+
+    def _sim(self):
+        return build([_mixed_prog(t) for t in range(4)])
+
+    def test_events_processed_exact_after_run(self):
+        sim = self._sim()
+        sim.run()
+        assert sim.events_processed == self.N
+
+    def test_budget_equal_to_work_does_not_fire(self):
+        sim = self._sim()
+        sim.max_events = self.N
+        sim.run()
+        assert sim.events_processed == self.N
+
+    def test_budget_fires_on_the_event_after_it(self):
+        pulled = []
+
+        def forever():
+            while True:
+                pulled.append(1)
+                yield ("c", 4)
+
+        sim = build([forever()])
+        sim.max_events = 100
+        with pytest.raises(SimulationError, match="budget exceeded \\(100\\)"):
+            sim.run()
+        assert sim.events_processed == 101
+        assert len(pulled) == 101
+        # Event 101 was pulled but never dispatched.
+        assert sim.procs[0].acct.busy == 100 * 4
+
+    def test_events_processed_exact_after_a_dispatch_error(self):
+        sim = build([iter([("c", 4), ("r", 0), ("zz", 1), ("c", 4)])])
+        with pytest.raises(SimulationError, match="unknown event opcode"):
+            sim.run()
+        assert sim.events_processed == 3
+
+    @pytest.mark.parametrize("k", [1, 7, 25, 10_000])
+    def test_check_every_fires_floor_n_over_k_times(self, k):
+        sim = self._sim()
+        log = _Log(sim)
+        sim.check_every = k
+        sim.run()
+        assert log.at("check") == list(range(k, self.N + 1, k))
+        assert len(log.at("check")) == self.N // k
+
+    @pytest.mark.parametrize("e", [1, 13, 100, 10_000])
+    def test_profiler_samples_floor_n_over_e_times(self, e):
+        sim = self._sim()
+        log = _Log(sim)
+        sim.attach(log, every=e)
+        sim.run()
+        assert log.at("sample") == list(range(e, self.N + 1, e))
+        assert not log.at("check")
+
+    def test_coprime_intervals_keep_both_counts_and_the_order(self):
+        sim = self._sim()
+        log = _Log(sim)
+        sim.check_every = 7
+        sim.attach(log, every=5)
+        sim.max_events = self.N
+        sim.run()
+        assert log.at("check") == list(range(7, self.N + 1, 7))
+        assert log.at("sample") == list(range(5, self.N + 1, 5))
+        # On a common multiple the check runs before the sample.
+        i = log.calls.index(("check", 35))
+        assert log.calls[i + 1] == ("sample", 35)
+
+    @pytest.mark.parametrize("overrides", [
+        {"consistency": "sc"},
+        {"write_buffer_coalescing": True, "procs_per_node": 2},
+        {"machine": "hcoma", "hierarchy_groups": 2},
+        {"machine": "numa", "procs_per_node": 2},
+    ], ids=["sc", "coalescing", "hcoma", "numa"])
+    def test_checkpoint_path_leaves_results_identical(self, overrides):
+        from repro.experiments.runner import RunSpec, build_simulation
+
+        spec = RunSpec("barnes", scale=0.05, memory_pressure=0.875,
+                       **overrides)
+        plain = build_simulation(spec)
+        expected = plain.run().to_dict()
+        checked = build_simulation(spec)
+        checked.check_every = 1
+        log = _Log(checked)
+        checked.attach(log, every=1)
+        assert checked.run().to_dict() == expected
+        assert expected["counters"]["lock_acquires"] > 0
+        n = plain.events_processed
+        assert checked.events_processed == n > 0
+        assert len(log.at("check")) == len(log.at("sample")) == n

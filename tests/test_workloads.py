@@ -136,3 +136,77 @@ class TestDeterministicResults:
             RunSpec(workload="synth_uniform", scale=0.25, seed=2)
         ).run()
         assert r1.counters != r2.counters
+
+
+def _recursive_walk(wl, cell, body):
+    """The Barnes force walk as first written: recursive, vector norm."""
+    import numpy as np
+
+    yield ("r", wl._cell_addr(cell.index, 8))
+    d = float(np.linalg.norm(wl.pos[body] - cell.com)) + 1e-9
+    if cell.body is not None or cell.size / d < wl.theta:
+        yield ("c", 24)
+        return
+    yield ("r", wl._cell_addr(cell.index, 0))
+    for ch in cell.children:
+        if ch is not None:
+            yield from _recursive_walk(wl, ch, body)
+
+
+class TestBarnesWalk:
+    @staticmethod
+    def _built(seed):
+        wl = get_workload("barnes", n_threads=16, scale=0.1, seed=seed)
+        wl.allocate(AddressSpace(page_size=2048))
+        wl._build_tree()
+        return wl
+
+    @pytest.mark.parametrize("seed", [1, 1997, 4099])
+    def test_stack_walk_matches_recursive_walk(self, seed):
+        wl = self._built(seed)
+        for step in range(wl.steps):
+            if step:
+                wl._advance_positions(step)
+                wl._build_tree()
+            for b in range(wl.n_bodies):
+                assert (list(wl._walk(wl.root, b))
+                        == list(_recursive_walk(wl, wl.root, b))), (step, b)
+
+    def test_theta_guard_band_defers_to_vector_norm(self, monkeypatch):
+        import math
+
+        import numpy as np
+
+        from repro.workloads import barnes
+
+        wl = self._built(1997)
+        body = 0
+        cell = barnes._Cell(0, [0.5, 0.5, 0.5], 1.0)
+        leaf = barnes._Cell(1, [0.25, 0.25, 0.25], 0.5)
+        leaf.body = 1
+        cell.children[0] = leaf
+        cell.com = wl.pos[body] + np.array([0.3, -0.2, 0.1])
+        cell.com_t = tuple(cell.com.tolist())
+        dx, dy, dz = (wl.pos[body] - cell.com).tolist()
+        d = math.sqrt(dx * dx + dy * dy + dz * dz) + 1e-9
+        # size / d sits 1e-12 above theta: inside the guard band, so the
+        # scalar distance alone would open the cell.
+        cell.size = wl.theta * d * (1 + 1e-12)
+        assert cell.size / d >= wl.theta
+        assert abs(cell.size / d - wl.theta) <= barnes._THETA_GUARD * wl.theta
+
+        calls = []
+
+        def far_norm(v):
+            calls.append(v)
+            return 2.0 * d  # the vector formula says: far enough, accept
+
+        monkeypatch.setattr(np.linalg, "norm", far_norm)
+        addr8 = wl._cell_addr(cell.index, 8)
+        assert list(wl._walk(cell, body)) == [("r", addr8), ("c", 24)]
+        assert len(calls) == 1
+        # Outside the band the scalar distance decides on its own.
+        cell.size = wl.theta * d * 2
+        assert list(wl._walk(cell, body))[:2] == [
+            ("r", addr8), ("r", wl._cell_addr(cell.index, 0))]
+        assert len(calls) == 1
