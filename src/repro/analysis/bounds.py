@@ -602,17 +602,13 @@ class BoundsCertifier(TraceSink):
     def _check_tree(self, root: SpanEvent,
                     children: list[SpanEvent]) -> None:
         self.checked += 1
-        cls = (root.op, root.level)
-        paths = self.envelope.by_class.get(cls)
-        who = (f"P{root.proc} {root.op} line {root.line:#x} -> "
-               f"{root.level} (+{root.dur_ns} ns, trace {root.trace_id})")
-        witness = format_span_tree([root] + children)
+        paths = self.envelope.by_class.get((root.op, root.level))
         if paths is None:
             self._record(
                 "B103",
-                f"{who}: no enumerated path for class "
+                f"{_who(root)}: no enumerated path for class "
                 f"({root.op}, {root.level})",
-                root.line, witness)
+                root.line, format_span_tree([root] + children))
             return
         names = [c.name for c in children]
         best: Optional[tuple[list[EvalSeg],
@@ -632,6 +628,9 @@ class BoundsCertifier(TraceSink):
                 return  # within the envelope of at least one path
             if best is None or len(viols) < len(best[1]):
                 best = (path, viols)
+        # Only a violating tree gets here: render its witness once.
+        who = _who(root)
+        witness = format_span_tree([root] + children)
         if best is None:
             candidates = "; ".join(
                 " -> ".join(s[0] for s in p) or "(empty)" for p in paths
@@ -657,6 +656,12 @@ class BoundsCertifier(TraceSink):
                        f"static min {lo} ns")
             self._record(rule, msg, root.line,
                          f"{witness}\nclosest static path: {env}")
+
+
+def _who(root: SpanEvent) -> str:
+    """The access a finding is about, as its messages name it."""
+    return (f"P{root.proc} {root.op} line {root.line:#x} -> "
+            f"{root.level} (+{root.dur_ns} ns, trace {root.trace_id})")
 
 
 def certify_bounds(sim: Any, flavour: str,

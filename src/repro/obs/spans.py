@@ -69,8 +69,9 @@ class SpanBuilder(TraceSink):
         self.op = ""
         self.line = -1
         self.relocs = 0
+        #: Closed phases of the open access.  Phase ``i`` starts where
+        #: phase ``i - 1`` ended (the first at ``t0``), so ends suffice.
         self._names: list[str] = []
-        self._starts: list[int] = []
         self._ends: list[int] = []
 
     # -- recording API (called from @hotpath code, spans enabled only) --
@@ -86,7 +87,6 @@ class SpanBuilder(TraceSink):
         self.line = line
         self.relocs = 0
         self._names.clear()
-        self._starts.clear()
         self._ends.clear()
 
     def phase(self, name: str, t: int) -> None:
@@ -99,7 +99,6 @@ class SpanBuilder(TraceSink):
         if not self._open or t <= self.cursor:
             return
         self._names.append(name)
-        self._starts.append(self.cursor)
         self._ends.append(t)
         self.cursor = t
 
@@ -111,33 +110,33 @@ class SpanBuilder(TraceSink):
 
     def access(self, t: int, proc: int, op: str, line: int,
                level: str, latency_ns: int, addr: int = -1) -> None:
-        """Forward the access, then close its span tree."""
+        """Forward the access, then close its span tree: the access
+        completes at ``t + latency_ns`` and the un-annotated remainder
+        ``[cursor, completion]`` becomes a tail phase named after
+        ``level``."""
         self.sink.access(t, proc, op, line, level, latency_ns, addr)
-        self.end(t + latency_ns, level)
-
-    def end(self, t: int, level: str) -> None:
-        """Complete the access at ``t``; the un-annotated remainder
-        ``[cursor, t]`` becomes a tail phase named after ``level``."""
         if not self._open:
             return
-        if t > self.cursor:
-            self._names.append(level)
-            self._starts.append(self.cursor)
-            self._ends.append(t)
         self._open = False
-        self._next_trace += 1
-        trace_id = self._next_trace
-        self._next_span += 1
-        root_id = self._next_span
-        sink = self.sink
-        sink.span(self.t0, t - self.t0, trace_id, root_id, 0, "access",
-                  self.proc, self.line, self.op, level, self.relocs)
-        names, starts, ends = self._names, self._starts, self._ends
-        for i in range(len(names)):
-            self._next_span += 1
-            sink.span(starts[i], ends[i] - starts[i], trace_id,
-                      self._next_span, root_id, names[i], self.proc,
-                      self.line, self.op, level)
+        end = t + latency_ns
+        names, ends = self._names, self._ends
+        if end > self.cursor:
+            names.append(level)
+            ends.append(end)
+        trace_id = self._next_trace = self._next_trace + 1
+        root_id = span_id = self._next_span + 1
+        # The tree carries the identity ``begin`` opened it with.
+        t0, proc, line, op = self.t0, self.proc, self.line, self.op
+        span = self.sink.span
+        span(t0, end - t0, trace_id, root_id, 0, "access", proc, line, op,
+             level, self.relocs)
+        start = t0
+        for name, stop in zip(names, ends):
+            span_id += 1
+            span(start, stop - start, trace_id, span_id, root_id, name,
+                 proc, line, op, level)
+            start = stop
+        self._next_span = span_id
 
     # -- failure introspection ------------------------------------------
 
@@ -154,8 +153,10 @@ class SpanBuilder(TraceSink):
             f"P{self.proc} {self.op} line {self.line:#x} "
             f"issued at {self.t0} ns",
         ]
-        for name, s, e in zip(self._names, self._starts, self._ends):
-            out.append(f"  {name:<12} {s}..{e} (+{e - s} ns)")
+        start = self.t0
+        for name, stop in zip(self._names, self._ends):
+            out.append(f"  {name:<12} {start}..{stop} (+{stop - start} ns)")
+            start = stop
         out.append(f"  (in flight since {self.cursor} ns, "
                    f"{self.relocs} relocation(s) so far)")
         return "\n".join(out)
@@ -188,7 +189,7 @@ def span_filter(current, sink):
 class SpanTreeAssembler:
     """Regroup a flat span-event stream back into (root, children) trees.
 
-    :meth:`SpanBuilder.end` emits each access's root (parent_id 0)
+    :meth:`SpanBuilder.access` emits each access's root (parent_id 0)
     immediately followed by its children, and the machine's access entry
     points are strictly sequential — so a new root closes the previous
     tree.  Consumers that need whole trees (the bounds certifier, tree
@@ -271,6 +272,8 @@ class StallAttribution(TraceSink):
         self._slowest: list[tuple[int, int]] = []
         #: trace_id -> [root, child, ...] for retained exemplar trees.
         self._trees: dict[int, list[SpanEvent]] = {}
+        #: (proc, op) -> the ``phase_ns[proc][op]`` dict children fold into.
+        self._leaf: dict[tuple[int, str], dict[str, int]] = {}
 
     # -- event intake ---------------------------------------------------
 
@@ -280,53 +283,73 @@ class StallAttribution(TraceSink):
     def emit(self, ev) -> None:
         kind = ev.kind
         if kind == EV_SPAN:
-            self._span(ev)
+            self.span(ev.t, ev.dur_ns, ev.trace_id, ev.span_id,
+                      ev.parent_id, ev.name, ev.proc, ev.line, ev.op,
+                      ev.level, ev.relocs)
         elif kind == EV_SYNC:
             self.sync_ns[ev.proc] = self.sync_ns.get(ev.proc, 0) + ev.wait_ns
         elif kind == EV_SYNCOP:
             if ev.op == "arrive":
                 self._wphase[ev.proc] = self._wphase.get(ev.proc, 0) + 1
 
-    def _span(self, ev: SpanEvent) -> None:
-        proc, op, dur = ev.proc, ev.op, ev.dur_ns
-        if ev.parent_id == 0:
-            self.accesses += 1
-            by_op = self.root_ns.setdefault(proc, {})
-            by_op[op] = by_op.get(op, 0) + dur
-            self.line_ns[ev.line] = self.line_ns.get(ev.line, 0) + dur
-            wp = self._wphase.get(proc, 0)
-            by_wp = self.wphase_ns.setdefault(wp, {})
-            by_wp[op] = by_wp.get(op, 0) + dur
-            if ev.relocs:
-                self.reloc_count[proc] = (
-                    self.reloc_count.get(proc, 0) + ev.relocs
-                )
-            cls = (op, ev.level)
-            child = self._latency_of.get(cls)
-            if child is None:
-                child = self._latency_of[cls] = self._latency.labels(*cls)
-            child.observe(dur)
-            best = self._class_max.get(cls)
-            if best is None or dur > best[0]:
-                self._class_max[cls] = (dur, ev.trace_id)
-            self._keep_tail(ev)
-        else:
-            phases = self.phase_ns.setdefault(proc, {}).setdefault(op, {})
-            phases[ev.name] = phases.get(ev.name, 0) + dur
-            if ev.trace_id in self._trees:
-                self._trees[ev.trace_id].append(ev)
+    def span(self, t: int, dur_ns: int, trace_id: int, span_id: int,
+             parent_id: int, name: str, proc: int, line: int, op: str,
+             level: str, relocs: int = 0) -> None:
+        """Fold one span straight from its fields.
 
-    def _keep_tail(self, root: SpanEvent) -> None:
+        A :class:`SpanEvent` is built only for a root entering the
+        slowest-N heap and for the children of a retained tree; every
+        other span costs a few dict updates.
+        """
+        if parent_id:
+            leaf = self._leaf.get((proc, op))
+            if leaf is None:
+                by_op = self.phase_ns.get(proc)
+                if by_op is None:
+                    by_op = self.phase_ns[proc] = {}
+                leaf = self._leaf[proc, op] = by_op[op] = {}
+            leaf[name] = leaf.get(name, 0) + dur_ns
+            tree = self._trees.get(trace_id)
+            if tree is not None:
+                tree.append(SpanEvent(t, dur_ns, trace_id, span_id,
+                                      parent_id, name, proc, line, op,
+                                      level, relocs))
+            return
+        self.accesses += 1
+        by_op = self.root_ns.get(proc)
+        if by_op is None:
+            by_op = self.root_ns[proc] = {}
+        by_op[op] = by_op.get(op, 0) + dur_ns
+        line_ns = self.line_ns
+        line_ns[line] = line_ns.get(line, 0) + dur_ns
+        wp = self._wphase.get(proc, 0)
+        by_op = self.wphase_ns.get(wp)
+        if by_op is None:
+            by_op = self.wphase_ns[wp] = {}
+        by_op[op] = by_op.get(op, 0) + dur_ns
+        if relocs:
+            self.reloc_count[proc] = self.reloc_count.get(proc, 0) + relocs
+        cls = (op, level)
+        child = self._latency_of.get(cls)
+        if child is None:
+            child = self._latency_of[cls] = self._latency.labels(*cls)
+        child.observe(dur_ns)
+        best = self._class_max.get(cls)
+        if best is None or dur_ns > best[0]:
+            self._class_max[cls] = (dur_ns, trace_id)
         if self.top_spans <= 0:
             return
-        entry = (root.dur_ns, root.trace_id)
-        if len(self._slowest) < self.top_spans:
-            heapq.heappush(self._slowest, entry)
-            self._trees[root.trace_id] = [root]
-        elif entry > self._slowest[0]:
-            _, evicted = heapq.heapreplace(self._slowest, entry)
-            del self._trees[evicted]
-            self._trees[root.trace_id] = [root]
+        slowest = self._slowest
+        entry = (dur_ns, trace_id)
+        if len(slowest) < self.top_spans:
+            heapq.heappush(slowest, entry)
+        elif entry > slowest[0]:
+            del self._trees[heapq.heapreplace(slowest, entry)[1]]
+        else:
+            return
+        self._trees[trace_id] = [SpanEvent(t, dur_ns, trace_id, span_id,
+                                           parent_id, name, proc, line, op,
+                                           level, relocs)]
 
     # -- results --------------------------------------------------------
 

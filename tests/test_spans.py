@@ -10,6 +10,8 @@ from tests.conftest import make_machine
 
 from repro.common.errors import SimulationError
 from repro.experiments.runner import RunSpec, build_simulation
+from repro.obs import sink as sink_mod
+from repro.obs import spans as spans_mod
 from repro.obs.chrometrace import ChromeTraceSink, validate_trace_events
 from repro.obs.events import SpanEvent, record_to_event
 from repro.obs.jsonl import JsonlTraceSink
@@ -181,6 +183,47 @@ class TestZeroOverheadOff:
         # With a span-wanting sink teed in, the shared stream grows.
         assert '"ev":"span"' in with_spans
 
+    def test_attribution_folds_without_building_span_events(
+            self, monkeypatch):
+        """With no exemplars kept, the attribution folds every span from
+        its fields: building a SpanEvent at all is a failure."""
+
+        def boom(*a, **k):  # pragma: no cover - must never run
+            raise AssertionError("SpanEvent built with top_spans=0")
+
+        for mod in (sink_mod, spans_mod):
+            monkeypatch.setattr(mod, "SpanEvent", boom)
+        att = StallAttribution(top_spans=0)
+        sim = build_simulation(SPEC)
+        sim.attach(att)
+        sim.run()
+        assert att.accesses > 0
+        assert att.conservation_errors() == []
+        assert att.slowest_spans() == []
+
+    def test_only_retained_exemplars_build_span_events(self, monkeypatch):
+        built = []
+
+        def counting(*a, **k):
+            built.append(SpanEvent(*a, **k))
+            return built[-1]
+
+        for mod in (sink_mod, spans_mod):
+            monkeypatch.setattr(mod, "SpanEvent", counting)
+        att = StallAttribution(top_spans=3)
+        sim = build_simulation(SPEC)
+        sim.attach(att)
+        sim.run()
+        trees = att.slowest_spans()
+        assert len(trees) == 3
+        for tree in trees:
+            assert tree[0].parent_id == 0
+            assert all(c.trace_id == tree[0].trace_id for c in tree[1:])
+            assert sum(c.dur_ns for c in tree[1:]) == tree[0].dur_ns
+        # Roots that entered the heap (and their children) only: far
+        # fewer objects than accesses.
+        assert 0 < len(built) < att.accesses
+
     def test_tee_wants_spans_if_any_child_does(self):
         m = make_machine()
         plain = TeeSink(CollectorSink(), CollectorSink())
@@ -291,6 +334,29 @@ class TestStallAttribution:
         assert a.report(stalls=ra.stalls) == b.report(stalls=rb.stalls)
 
 
+class TestOneFold:
+    """Live spans and replayed span events go through the same fold."""
+
+    @pytest.mark.parametrize("top_spans", [0, 3, 10])
+    @pytest.mark.parametrize("machine", ["coma", "hcoma", "numa"])
+    def test_replayed_events_report_equal(self, machine, top_spans):
+        live = StallAttribution(top_spans=top_spans)
+        collected = _WantsSpans()
+        sim = build_simulation(
+            RunSpec(workload="synth_migratory", scale=0.05, machine=machine,
+                    n_processors=16, procs_per_node=4)
+        )
+        sim.attach(live)
+        sim.attach(collected)
+        sim.run()
+        replayed = StallAttribution(top_spans=top_spans)
+        for ev in collected.events:
+            replayed.emit(ev)
+        assert live.accesses > 0
+        assert replayed.report() == live.report()
+        assert replayed.exemplars() == live.exemplars()
+
+
 class TestTimelineSampler:
     def _run(self, **kw):
         tl = TimelineSampler(**kw)
@@ -367,6 +433,23 @@ class TestFlightDumpSpanStack:
     def test_builder_stack_text_empty_when_idle(self):
         b = SpanBuilder(CollectorSink())
         assert b.open_stack_text() == ""
+
+    def test_builder_stack_text_derives_phase_starts(self):
+        # Each phase starts where the previous one ended (the first at
+        # t0); a zero-duration checkpoint adds no row.
+        b = SpanBuilder(CollectorSink())
+        b.begin(100, 2, "w", 0x9, addr=0x240)
+        b.phase("bus_arb", 140)
+        b.phase("am_lookup", 140)
+        b.phase("transfer", 175)
+        b.note_relocation()
+        assert b.open_stack_text() == (
+            "=== open span stack ===\n"
+            "P2 w line 0x9 issued at 100 ns\n"
+            "  bus_arb      100..140 (+40 ns)\n"
+            "  transfer     140..175 (+35 ns)\n"
+            "  (in flight since 175 ns, 1 relocation(s) so far)"
+        )
 
 
 class TestAttributeCli:
