@@ -48,7 +48,7 @@ from repro.coma.states import state_name
 from repro.common.config import TimingConfig
 from repro.obs.events import EV_SPAN, SpanEvent
 from repro.obs.sink import TraceSink
-from repro.obs.spans import SpanTreeAssembler, format_span_tree
+from repro.obs.spans import SpanTreeAssembler, format_span_tree, tree_events
 
 #: Rule catalogue (merged into the registry in repro.analysis.report).
 BOUNDS_RULES: dict[str, str] = {
@@ -555,17 +555,19 @@ class BoundsCertifier(TraceSink):
         self.findings: list[Finding] = []
         self.checked = 0
         self._counts: dict[str, int] = {r: 0 for r in BOUNDS_RULES}
-        self._trees = SpanTreeAssembler(self._check_tree)
+        #: Regroups span events arriving through ``emit`` (replay).
+        self._replay = SpanTreeAssembler(self.tree)
 
     # -- event intake ---------------------------------------------------
 
     def emit(self, ev: Any) -> None:
         if ev.kind == EV_SPAN:
-            self._trees.add(ev)
+            self._replay.add(ev)
 
     def finalize(self) -> None:
-        """Flush the trailing span tree (call once, after the run)."""
-        self._trees.flush()
+        """Flush the trailing replayed span tree (call once, after the
+        run)."""
+        self._replay.flush()
 
     # -- results --------------------------------------------------------
 
@@ -599,38 +601,46 @@ class BoundsCertifier(TraceSink):
                 Finding(rule=rule, message=message, line=line, detail=detail)
             )
 
-    def _check_tree(self, root: SpanEvent,
-                    children: list[SpanEvent]) -> None:
+    def tree(self, t0: int, end: int, trace_id: int, root_id: int,
+             proc: int, line: int, op: str, level: str, relocs: int,
+             names: list[str], ends: list[int]) -> None:
+        """Check one access tree against its envelope from the phase
+        names and durations; :class:`SpanEvent` objects are built only
+        to render a violating tree's witness."""
         self.checked += 1
-        paths = self.envelope.by_class.get((root.op, root.level))
-        if paths is None:
-            self._record(
-                "B103",
-                f"{_who(root)}: no enumerated path for class "
-                f"({root.op}, {root.level})",
-                root.line, format_span_tree([root] + children))
-            return
-        names = [c.name for c in children]
+        paths = self.envelope.by_class.get((op, level))
+        # The path with the fewest (rule, phase ns, segment) misses.
         best: Optional[tuple[list[EvalSeg],
-                             list[tuple[str, SpanEvent, EvalSeg]]]] = None
-        for path in paths:
+                             list[tuple[str, int, EvalSeg]]]] = None
+        for path in paths or ():
             matched = Envelope.match(path, names)
             if matched is None:
                 continue
-            viols: list[tuple[str, SpanEvent, EvalSeg]] = []
-            for child, seg in zip(children, matched):
+            viols: list[tuple[str, int, EvalSeg]] = []
+            start = t0
+            for seg, stop in zip(matched, ends):
                 _, lo, hi = seg
-                if hi is not None and child.dur_ns > hi:
-                    viols.append(("B101", child, seg))
-                elif child.dur_ns < lo:
-                    viols.append(("B102", child, seg))
+                dur = stop - start
+                if hi is not None and dur > hi:
+                    viols.append(("B101", dur, seg))
+                elif dur < lo:
+                    viols.append(("B102", dur, seg))
+                start = stop
             if not viols:
                 return  # within the envelope of at least one path
             if best is None or len(viols) < len(best[1]):
                 best = (path, viols)
         # Only a violating tree gets here: render its witness once.
-        who = _who(root)
-        witness = format_span_tree([root] + children)
+        tree = tree_events(t0, end, trace_id, root_id, proc, line, op,
+                           level, relocs, names, ends)
+        who = _who(tree[0])
+        witness = format_span_tree(tree)
+        if paths is None:
+            self._record(
+                "B103",
+                f"{who}: no enumerated path for class ({op}, {level})",
+                line, witness)
+            return
         if best is None:
             candidates = "; ".join(
                 " -> ".join(s[0] for s in p) or "(empty)" for p in paths
@@ -639,22 +649,20 @@ class BoundsCertifier(TraceSink):
                 "B103",
                 f"{who}: phase sequence {' -> '.join(names) or '(empty)'} "
                 f"not in the enumerated path set",
-                root.line,
-                f"{witness}\nenumerated paths for ({root.op}, "
-                f"{root.level}): {candidates}")
+                line,
+                f"{witness}\nenumerated paths for ({op}, {level}): "
+                f"{candidates}")
             return
         path, viols = best
         env = " -> ".join(
             f"{n}[{lo},{'∞' if hi is None else hi}]" for n, lo, hi in path
         )
-        for rule, child, (name, lo, hi) in viols:
+        for rule, dur, (name, lo, hi) in viols:
             if rule == "B101":
-                msg = (f"{who}: phase {name} took {child.dur_ns} ns, "
-                       f"static max {hi} ns")
+                msg = f"{who}: phase {name} took {dur} ns, static max {hi} ns"
             else:
-                msg = (f"{who}: phase {name} took {child.dur_ns} ns, "
-                       f"static min {lo} ns")
-            self._record(rule, msg, root.line,
+                msg = f"{who}: phase {name} took {dur} ns, static min {lo} ns"
+            self._record(rule, msg, line,
                          f"{witness}\nclosest static path: {env}")
 
 

@@ -146,8 +146,8 @@ class ComaMachine:
 
         A sink with a truthy ``wants_spans`` is reached through a
         :class:`~repro.obs.spans.SpanBuilder` so accesses emit causal
-        span trees; re-attaching the same sink (a tee that grew a
-        span consumer) keeps the builder's id counters.
+        span trees; re-attaching the same sink keeps the builder's id
+        counters (``TraceSink.attach_to`` re-points it at a grown tee).
         """
         from repro.obs.spans import span_filter
 

@@ -51,17 +51,6 @@ def _labelset(names, values, extra: Optional[tuple[str, str]] = None) -> str:
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
-def _exemplar_bucket(child, value: int) -> int:
-    """Index of the bucket an observation of ``value`` landed in (the
-    same arithmetic as :meth:`~repro.obs.metrics.Histogram.observe`)."""
-    v = int(value)
-    if v <= 1:
-        return 0
-    idx = (v - 1).bit_length()
-    last = len(child.counts) - 1
-    return idx if idx <= last else last
-
-
 def _render_exemplar(labels: dict, value) -> str:
     pairs = ",".join(
         f'{n}="{escape_label_value(str(v))}"' for n, v in sorted(labels.items())
@@ -89,7 +78,8 @@ def _render_family(fam: Family, lines: list[str],
             )
         else:  # histogram
             ex = fam_ex.get(values) if fam_ex else None
-            ex_bucket = _exemplar_bucket(child, ex[1]) if ex else -1
+            ex_bucket = (child.bucket_of(ex[1], len(child.counts)) if ex
+                         else -1)
             for i, (bound, cum) in enumerate(
                 zip(child.bucket_bounds(), child.cumulative())
             ):

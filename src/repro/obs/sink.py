@@ -84,6 +84,25 @@ class TraceSink:
         self.emit(SpanEvent(t, dur_ns, trace_id, span_id, parent_id,
                             name, proc, line, op, level, relocs))
 
+    def tree(self, t0: int, end: int, trace_id: int, root_id: int,
+             proc: int, line: int, op: str, level: str, relocs: int,
+             names: list[str], ends: list[int]) -> None:
+        """One closed access over ``[t0, end]`` as a whole span tree:
+        phase ``i`` is ``names[i]``, ending at ``ends[i]`` and starting
+        where the previous one ended (the first at ``t0``).  Span
+        consumers that fold whole trees override this; by default it is
+        the root span, then one child per phase with ids ``root_id + 1``
+        onward.  The lists are only valid during the call."""
+        span = self.span
+        span(t0, end - t0, trace_id, root_id, 0, "access", proc, line, op,
+             level, relocs)
+        span_id, start = root_id, t0
+        for name, stop in zip(names, ends):
+            span_id += 1
+            span(start, stop - start, trace_id, span_id, root_id, name,
+                 proc, line, op, level)
+            start = stop
+
     # -- facts no event carries (no-ops unless a sink aggregates them) --
 
     def bus_phase(self, bus: str, wait_ns: int, busy_ns: int) -> None:
@@ -116,7 +135,7 @@ class TraceSink:
         # Deferred: repro.obs.spans builds on this module.
         from repro.obs.spans import SpanBuilder
 
-        existing = sim.machine.trace
+        builder = existing = sim.machine.trace
         if isinstance(existing, SpanBuilder):
             existing = existing.sink
         if existing is None:
@@ -124,7 +143,11 @@ class TraceSink:
         else:
             members = (existing.sinks if isinstance(existing, TeeSink)
                        else (existing,))
-            sim.machine.set_trace(TeeSink(*members, self))
+            tee = TeeSink(*members, self)
+            if isinstance(builder, SpanBuilder):
+                # The grown tee keeps the builder and its id counters.
+                builder.bind(tee)
+            sim.machine.set_trace(tee)
 
     # -- sink lifecycle -------------------------------------------------
 
@@ -170,7 +193,7 @@ class TeeSink(TraceSink):
     def __init__(self, *sinks: TraceSink) -> None:
         self.sinks = sinks
         for name in ("access", "transition", "bus", "replacement", "sync",
-                     "syncop", "span", "bus_phase", "run_end"):
+                     "syncop", "span", "tree", "bus_phase", "run_end"):
             methods = [getattr(s, name) for s in self.sinks
                        if getattr(type(s), name, None) is not ignored]
             if len(methods) == 1:

@@ -28,11 +28,12 @@ byte-identical span streams); all times are simulated nanoseconds.
 from __future__ import annotations
 
 import heapq
-from typing import Optional
+import math
+from typing import Any, Optional
 
 from repro.obs.events import EV_SPAN, EV_SYNC, EV_SYNCOP, SpanEvent
-from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.sink import TraceSink, ignored
+from repro.obs.metrics import MetricsRegistry, TallyHistogram
+from repro.obs.sink import CollectorSink, TraceSink, ignored
 
 
 class SpanBuilder(TraceSink):
@@ -45,10 +46,10 @@ class SpanBuilder(TraceSink):
     machine), so a single mutable builder per machine suffices: ``begin``
     opens the access, ``phase`` records checkpoints, and the access's
     own ``access`` event closes the tree — it goes downstream first,
-    followed by the root span and its children.  Every other entry point
-    is the downstream sink's own bound method, so the filter adds no
-    call to them.  Lists are reused across accesses — the per-access
-    cost is appends plus one emission pass.
+    followed by one :meth:`~repro.obs.sink.TraceSink.tree` call for the
+    whole tree.  Every other entry point is the downstream sink's own
+    bound method, so the filter adds no call to them.  Lists are reused
+    across accesses — the per-access cost is appends plus one call.
     """
 
     #: A builder consumes span checkpoints; a tee holding one asks for a
@@ -56,10 +57,7 @@ class SpanBuilder(TraceSink):
     wants_spans = True
 
     def __init__(self, sink: TraceSink) -> None:
-        self.sink = sink
-        for name in ("transition", "bus", "replacement", "sync", "syncop",
-                     "span", "bus_phase", "run_end", "emit", "close"):
-            setattr(self, name, getattr(sink, name))
+        self.bind(sink)
         self._next_trace = 0
         self._next_span = 0
         self._open = False
@@ -73,6 +71,15 @@ class SpanBuilder(TraceSink):
         #: phase ``i - 1`` ended (the first at ``t0``), so ends suffice.
         self._names: list[str] = []
         self._ends: list[int] = []
+
+    def bind(self, sink: TraceSink) -> None:
+        """Point the builder at ``sink``: closed trees and every
+        forwarded entry point go to it from now on."""
+        self.sink = sink
+        for name in ("transition", "bus", "replacement", "sync", "syncop",
+                     "span", "tree", "bus_phase", "run_end", "emit",
+                     "close"):
+            setattr(self, name, getattr(sink, name))
 
     # -- recording API (called from @hotpath code, spans enabled only) --
 
@@ -124,25 +131,13 @@ class SpanBuilder(TraceSink):
             names.append(level)
             ends.append(end)
         trace_id = self._next_trace = self._next_trace + 1
-        root_id = span_id = self._next_span + 1
+        root_id = self._next_span + 1
+        self._next_span = root_id + len(names)
         # The tree carries the identity ``begin`` opened it with.
-        t0, proc, line, op = self.t0, self.proc, self.line, self.op
-        span = self.sink.span
-        span(t0, end - t0, trace_id, root_id, 0, "access", proc, line, op,
-             level, self.relocs)
-        start = t0
-        for name, stop in zip(names, ends):
-            span_id += 1
-            span(start, stop - start, trace_id, span_id, root_id, name,
-                 proc, line, op, level)
-            start = stop
-        self._next_span = span_id
+        self.tree(self.t0, end, trace_id, root_id, self.proc, self.line,
+                  self.op, level, self.relocs, names, ends)
 
     # -- failure introspection ------------------------------------------
-
-    @property
-    def open(self) -> bool:
-        return self._open
 
     def open_stack_text(self) -> str:
         """Render the in-flight span stack (empty string when idle)."""
@@ -176,8 +171,8 @@ def span_filter(current, sink):
 
     That is ``sink`` itself, or a :class:`SpanBuilder` in front of it
     when it asks for spans.  ``current`` is the slot's present value:
-    re-attaching the sink it already filters (a tee that grew a member)
-    keeps that builder and its id counters.
+    re-attaching the sink it already filters keeps that builder and its
+    id counters.
     """
     if sink is None or not getattr(sink, "wants_spans", False):
         return sink
@@ -186,37 +181,55 @@ def span_filter(current, sink):
     return SpanBuilder(sink)
 
 
+def tree_events(*tree: Any) -> list[SpanEvent]:
+    """The :class:`SpanEvent` list (root first) of one ``tree`` call."""
+    out = CollectorSink()
+    out.tree(*tree)
+    return out.events
+
+
 class SpanTreeAssembler:
-    """Regroup a flat span-event stream back into (root, children) trees.
+    """Regroup a flat span-event stream back into ``tree`` calls.
 
     :meth:`SpanBuilder.access` emits each access's root (parent_id 0)
     immediately followed by its children, and the machine's access entry
     points are strictly sequential — so a new root closes the previous
-    tree.  Consumers that need whole trees (the bounds certifier, tree
-    renderers) feed span events to :meth:`add` and get one callback per
-    completed access; call :meth:`flush` after the run to deliver the
-    trailing tree.
+    tree.  Span consumers that fold whole trees feed replayed span
+    events to :meth:`add` and get one ``on_tree`` call (the
+    :meth:`~repro.obs.sink.TraceSink.tree` signature) per access; call
+    :meth:`flush` before anything that must see every tree so far (a
+    barrier, a result read) to deliver the pending one.
     """
 
-    __slots__ = ("_on_tree", "_root", "_children")
+    __slots__ = ("_on_tree", "_root", "_names", "_ends")
 
     def __init__(self, on_tree) -> None:
         self._on_tree = on_tree
         self._root: Optional[SpanEvent] = None
-        self._children: list[SpanEvent] = []
+        self._names: list[str] = []
+        self._ends: list[int] = []
 
     def add(self, ev: SpanEvent) -> None:
         if ev.parent_id == 0:
             self.flush()
             self._root = ev
         elif self._root is not None and ev.trace_id == self._root.trace_id:
-            self._children.append(ev)
+            # Phases stack by duration, so consumers fold each child's own
+            # ``dur_ns`` even when a malformed stream leaves gaps (the
+            # phase sums then miss the root and conservation reports it).
+            ends = self._ends
+            ends.append((ends[-1] if ends else self._root.t) + ev.dur_ns)
+            self._names.append(ev.name)
 
     def flush(self) -> None:
-        if self._root is not None:
-            self._on_tree(self._root, self._children)
+        root = self._root
+        if root is not None:
             self._root = None
-            self._children = []
+            self._on_tree(root.t, root.t + root.dur_ns, root.trace_id,
+                          root.span_id, root.proc, root.line, root.op,
+                          root.level, root.relocs, self._names, self._ends)
+            self._names.clear()
+            self._ends.clear()
 
 
 # ----------------------------------------------------------------------
@@ -230,11 +243,15 @@ DEFAULT_TOP_SPANS = 10
 class StallAttribution(TraceSink):
     """Aggregate span trees into paper-style latency attributions.
 
-    Consumes ``span`` events (per-phase cycle sums by processor, line
-    and workload phase), ``sync`` events (blocked time per processor)
-    and barrier ``syncop`` events (workload-phase boundaries).  The
-    report's per-phase sums conserve cycles: for every processor and
-    operation class, the phase sums equal the root-span sums exactly.
+    Consumes span trees through :meth:`tree` (per-phase cycle sums by
+    processor, line and workload phase; span events replayed through
+    ``emit`` are regrouped into trees first), ``sync`` events (blocked
+    time per processor) and barrier ``syncop`` events (workload-phase
+    boundaries).  The report's per-phase sums conserve cycles: for every
+    processor and operation class, the phase sums equal the root-span
+    sums exactly.  A replay leaves its last tree pending until
+    :meth:`close` or a result method runs; only then do the public sums
+    (``accesses``, ``root_ns``, ``phase_ns`` ...) cover the whole stream.
     """
 
     wants_spans = True
@@ -251,29 +268,34 @@ class StallAttribution(TraceSink):
         #: the number of barrier arrivals it has performed.
         self.wphase_ns: dict[int, dict[str, int]] = {}
         self._wphase: dict[int, int] = {}
+        #: proc -> the ``wphase_ns`` dict its accesses fold into now.
+        self._wphase_of: dict[int, dict[str, int]] = {}
         #: proc -> blocked ns (lock/barrier waits from sync events).
         self.sync_ns: dict[int, int] = {}
         #: proc -> background relocations triggered by its accesses.
         self.reloc_count: dict[int, int] = {}
         self.accesses = 0
-        #: Latency histograms per access class, in a private registry so
-        #: the OpenMetrics exporter renders them directly.
-        self.registry = MetricsRegistry()
-        self._latency = self.registry.histogram(
+        #: Latency histograms per access class (see :attr:`registry`).
+        self._registry = MetricsRegistry()
+        self._latency = self._registry.histogram(
             "span_access_latency_ns",
             "access latency from span roots by operation and level",
-            labels=("op", "level"),
+            labels=("op", "level"), child_type=TallyHistogram,
         )
-        #: (op, level) -> bound latency child.
-        self._latency_of: dict[tuple[str, str], Histogram] = {}
-        #: Slowest access per class: (op, level) -> (dur, trace_id).
-        self._class_max: dict[tuple[str, str], tuple[int, int]] = {}
+        #: (op, level) -> [bound latency child, slowest dur, its trace id].
+        self._class: dict[tuple[str, str], list] = {}
         #: Min-heap of (dur, trace_id) for the N slowest accesses.
         self._slowest: list[tuple[int, int]] = []
         #: trace_id -> [root, child, ...] for retained exemplar trees.
         self._trees: dict[int, list[SpanEvent]] = {}
+        #: (proc, op) -> the ``root_ns[proc]`` dict roots fold into.
+        self._root_of: dict[tuple[int, str], dict[str, int]] = {}
         #: (proc, op) -> the ``phase_ns[proc][op]`` dict children fold into.
         self._leaf: dict[tuple[int, str], dict[str, int]] = {}
+        #: Shortest duration that can still enter the slowest-N heap.
+        self._floor = 0 if top_spans > 0 else math.inf
+        #: Regroups span events arriving through ``emit`` (replay).
+        self._replay = SpanTreeAssembler(self.tree)
 
     # -- event intake ---------------------------------------------------
 
@@ -283,61 +305,61 @@ class StallAttribution(TraceSink):
     def emit(self, ev) -> None:
         kind = ev.kind
         if kind == EV_SPAN:
-            self.span(ev.t, ev.dur_ns, ev.trace_id, ev.span_id,
-                      ev.parent_id, ev.name, ev.proc, ev.line, ev.op,
-                      ev.level, ev.relocs)
-        elif kind == EV_SYNC:
+            self._replay.add(ev)
+            return
+        # A replayed stream's pending tree belongs to the workload phase
+        # before this event, as it does in the live run.
+        self._replay.flush()
+        if kind == EV_SYNC:
             self.sync_ns[ev.proc] = self.sync_ns.get(ev.proc, 0) + ev.wait_ns
         elif kind == EV_SYNCOP:
             if ev.op == "arrive":
                 self._wphase[ev.proc] = self._wphase.get(ev.proc, 0) + 1
+                self._wphase_of.pop(ev.proc, None)
 
-    def span(self, t: int, dur_ns: int, trace_id: int, span_id: int,
-             parent_id: int, name: str, proc: int, line: int, op: str,
-             level: str, relocs: int = 0) -> None:
-        """Fold one span straight from its fields.
-
-        A :class:`SpanEvent` is built only for a root entering the
-        slowest-N heap and for the children of a retained tree; every
-        other span costs a few dict updates.
-        """
-        if parent_id:
-            leaf = self._leaf.get((proc, op))
-            if leaf is None:
-                by_op = self.phase_ns.get(proc)
-                if by_op is None:
-                    by_op = self.phase_ns[proc] = {}
-                leaf = self._leaf[proc, op] = by_op[op] = {}
-            leaf[name] = leaf.get(name, 0) + dur_ns
-            tree = self._trees.get(trace_id)
-            if tree is not None:
-                tree.append(SpanEvent(t, dur_ns, trace_id, span_id,
-                                      parent_id, name, proc, line, op,
-                                      level, relocs))
-            return
+    def tree(self, t0: int, end: int, trace_id: int, root_id: int,
+             proc: int, line: int, op: str, level: str, relocs: int,
+             names: list[str], ends: list[int]) -> None:
+        """Fold one access tree straight from its fields: the root into
+        the per-processor, per-line and per-workload-phase sums, the
+        latency histogram, the per-class max and the slowest-N heap,
+        then its phases into ``phase_ns``.  :class:`SpanEvent` objects
+        are built only for a tree entering the slowest-N heap."""
+        dur_ns = end - t0
         self.accesses += 1
-        by_op = self.root_ns.get(proc)
+        key = (proc, op)
+        by_op = self._root_of.get(key)
         if by_op is None:
-            by_op = self.root_ns[proc] = {}
-        by_op[op] = by_op.get(op, 0) + dur_ns
+            by_op = self._root_of[key] = self.root_ns.setdefault(proc, {})
+            by_op[op] = 0
+        by_op[op] += dur_ns
         line_ns = self.line_ns
         line_ns[line] = line_ns.get(line, 0) + dur_ns
-        wp = self._wphase.get(proc, 0)
-        by_op = self.wphase_ns.get(wp)
+        by_op = self._wphase_of.get(proc)
         if by_op is None:
-            by_op = self.wphase_ns[wp] = {}
+            by_op = self._wphase_of[proc] = self.wphase_ns.setdefault(
+                self._wphase.get(proc, 0), {})
         by_op[op] = by_op.get(op, 0) + dur_ns
         if relocs:
             self.reloc_count[proc] = self.reloc_count.get(proc, 0) + relocs
-        cls = (op, level)
-        child = self._latency_of.get(cls)
-        if child is None:
-            child = self._latency_of[cls] = self._latency.labels(*cls)
-        child.observe(dur_ns)
-        best = self._class_max.get(cls)
-        if best is None or dur_ns > best[0]:
-            self._class_max[cls] = (dur_ns, trace_id)
-        if self.top_spans <= 0:
+        cls = self._class.get((op, level))
+        if cls is None:
+            cls = self._class[op, level] = [
+                self._latency.labels(op, level), -1, 0]
+        cls[0].observe(dur_ns)
+        if dur_ns > cls[1]:
+            cls[1] = dur_ns
+            cls[2] = trace_id
+        if names:
+            leaf = self._leaf.get(key)
+            if leaf is None:
+                leaf = self._leaf[key] = {}
+                self.phase_ns.setdefault(proc, {})[op] = leaf
+            start = t0
+            for name, stop in zip(names, ends):
+                leaf[name] = leaf.get(name, 0) + stop - start
+                start = stop
+        if dur_ns < self._floor:
             return
         slowest = self._slowest
         entry = (dur_ns, trace_id)
@@ -347,14 +369,28 @@ class StallAttribution(TraceSink):
             del self._trees[heapq.heapreplace(slowest, entry)[1]]
         else:
             return
-        self._trees[trace_id] = [SpanEvent(t, dur_ns, trace_id, span_id,
-                                           parent_id, name, proc, line, op,
-                                           level, relocs)]
+        if len(slowest) == self.top_spans:
+            self._floor = slowest[0][0]
+        self._trees[trace_id] = tree_events(t0, end, trace_id, root_id, proc,
+                                            line, op, level, relocs, names,
+                                            ends)
+
+    def close(self) -> None:
+        """Fold a replayed stream's pending tree."""
+        self._replay.flush()
 
     # -- results --------------------------------------------------------
 
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The latency histograms, in a private registry so the
+        OpenMetrics exporter renders them directly."""
+        self._replay.flush()
+        return self._registry
+
     def slowest_spans(self) -> list[list[SpanEvent]]:
         """The retained span trees, slowest first (root at index 0)."""
+        self._replay.flush()
         order = sorted(self._slowest, reverse=True)
         return [self._trees[tid] for _, tid in order]
 
@@ -364,6 +400,7 @@ class StallAttribution(TraceSink):
         Empty for every correctly instrumented machine: the builder cuts
         phases out of the root interval, so the sums agree exactly.
         """
+        self._replay.flush()
         problems = []
         procs = set(self.root_ns) | set(self.phase_ns)
         for proc in sorted(procs):
@@ -382,8 +419,9 @@ class StallAttribution(TraceSink):
     def exemplars(self) -> dict[str, dict[tuple[str, ...], tuple[dict, int]]]:
         """OpenMetrics exemplars: the slowest access per class, labeled
         with its trace id so ``coma-sim explain``/Perfetto can find it."""
+        self._replay.flush()
         per_class = {}
-        for (op, level), (dur, tid) in sorted(self._class_max.items()):
+        for (op, level), (_, dur, tid) in sorted(self._class.items()):
             per_class[(op, level)] = ({"trace_id": str(tid)}, dur)
         return {"span_access_latency_ns": per_class}
 
@@ -397,6 +435,7 @@ class StallAttribution(TraceSink):
         each processor's cycles exactly); the span phases subdivide the
         stall portion.
         """
+        self._replay.flush()
         per_proc = []
         procs = sorted(set(self.root_ns) | set(self.phase_ns)
                        | set(self.sync_ns))
@@ -428,7 +467,7 @@ class StallAttribution(TraceSink):
                     self.line_ns.items(), key=lambda kv: (-kv[1], kv[0])
                 )[:20]
             ],
-            "latency_histograms": self.registry.snapshot(),
+            "latency_histograms": self._registry.snapshot(),
             "top_spans": [
                 [e.to_record() for e in tree]
                 for tree in self.slowest_spans()

@@ -180,6 +180,48 @@ class TestMutationGate:
         assert len(cert.findings) == 2
 
 
+class TestTreeIntake:
+    """Live ``tree`` calls and replayed span events check the same way."""
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    @pytest.mark.parametrize("machine", FLAVOURS)
+    def test_replayed_events_report_equal(self, machine, perturb):
+        from repro.obs.sink import CollectorSink
+
+        sim = build_simulation(_spec("synth_migratory", machine))
+        timing = sim.machine.config.timing
+        live = BoundsCertifier(envelope_for(machine, timing))
+        collected = CollectorSink()
+        collected.wants_spans = True
+        if perturb:
+            sim.machine.bus._phase_ns += 8  # B101 witnesses on every flavour
+        sim.attach(live)
+        sim.attach(collected)
+        sim.run()
+        live.finalize()
+        replayed = BoundsCertifier(envelope_for(machine, timing))
+        for ev in collected.events:
+            replayed.emit(ev)
+        replayed.finalize()
+        assert live.checked == len(collected.of_kind("access")) > 0
+        assert replayed.report() == live.report()
+        assert live.ok() is not perturb
+
+    def test_clean_run_builds_no_span_events(self, monkeypatch):
+        """Only a violating tree is rebuilt as SpanEvent objects."""
+        from repro.obs import sink as sink_mod
+        from repro.obs import spans as spans_mod
+
+        def boom(*a, **k):  # pragma: no cover - must never run
+            raise AssertionError("SpanEvent built for a clean tree")
+
+        for mod in (sink_mod, spans_mod):
+            monkeypatch.setattr(mod, "SpanEvent", boom)
+        cert = certify_bounds(build_simulation(_spec("synth_migratory")),
+                              "coma")
+        assert cert.ok() and cert.checked > 0
+
+
 class TestReportShape:
     def test_report_is_json_ready(self):
         import json

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.runner import RunSpec, build_simulation
 from repro.obs.metrics import (
@@ -14,6 +17,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     MetricsSink,
+    TallyHistogram,
 )
 from repro.obs.openmetrics import (
     OpenMetricsParseError,
@@ -72,6 +76,106 @@ class TestPrimitives:
         for v in (1, 2, 2, 100):
             h.observe(v)
         assert h.cumulative() == [1, 3, 3, 4]
+
+
+class _StreamingHistogram:
+    """Reference: bucket every observation as it arrives (the arithmetic
+    the value-count table must reproduce)."""
+
+    def __init__(self, n_buckets: int) -> None:
+        self.counts = [0] * n_buckets
+        self.sum = 0
+        self.count = 0
+
+    def observe(self, value: int) -> None:
+        idx = 0 if value <= 1 else (value - 1).bit_length()
+        self.counts[min(idx, len(self.counts) - 1)] += 1
+        self.sum += value
+        self.count += 1
+
+
+class _SmallTable(TallyHistogram):
+    TABLE_CAP = 3
+
+
+#: 0, 1, 2^k and 2^k +- 1 (bucket edges), and values past the last bucket.
+_EDGES = st.sampled_from(
+    [0, 1] + [(1 << k) + d for k in range(1, 41) for d in (-1, 0, 1)])
+_VALUES = st.one_of(_EDGES, st.integers(0, 1 << 70))
+
+
+class TestTallyHistogram:
+    def _assert_equal(self, h: Histogram, ref: _StreamingHistogram) -> None:
+        assert h.counts == ref.counts
+        assert h.sum == ref.sum
+        assert h.count == ref.count
+        assert type(h.sum) is type(ref.sum)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_VALUES, max_size=60),
+           n_buckets=st.integers(1, 40),
+           reads=st.sets(st.integers(0, 60), max_size=4),
+           small=st.booleans())
+    def test_equals_streaming_reference(self, values, n_buckets, reads,
+                                        small):
+        tally = (_SmallTable if small else TallyHistogram)(n_buckets)
+        plain = Histogram(n_buckets)
+        ref = _StreamingHistogram(n_buckets)
+        for i, v in enumerate(values):
+            if i in reads:  # reading folds the table mid-stream
+                self._assert_equal(tally, ref)
+            tally.observe(v)
+            plain.observe(v)
+            ref.observe(v)
+            assert len(tally._table) <= tally.TABLE_CAP
+        self._assert_equal(tally, ref)
+        self._assert_equal(plain, ref)
+        assert tally.cumulative()[-1] == ref.count
+        for v in values:
+            idx = 0 if v <= 1 else (v - 1).bit_length()
+            assert Histogram.bucket_of(v, n_buckets) == min(idx, n_buckets - 1)
+
+    def test_table_stays_bounded_past_the_cap(self):
+        h = TallyHistogram()
+        ref = _StreamingHistogram(len(h.counts))
+        for i in range(3 * TallyHistogram.TABLE_CAP + 7):
+            v = (i * 7919) % (5 * TallyHistogram.TABLE_CAP)
+            h.observe(v)
+            ref.observe(v)
+            assert len(h._table) <= TallyHistogram.TABLE_CAP
+        self._assert_equal(h, ref)
+
+    def test_only_the_access_latency_families_tally(self):
+        registry = run_with_registry()
+        tallied = {fam.name for fam in registry.families()
+                   if fam.type == "histogram"
+                   and any(isinstance(c, TallyHistogram)
+                           for _, c in fam.samples())}
+        assert tallied == {"coma_access_latency_ns"}
+
+    def test_plain_histogram_reads_while_another_thread_observes(self):
+        """Wall-time families (``serve``'s latency, ``run_wall``) are
+        observed from worker threads while ``/metrics`` reads them."""
+        registry = MetricsRegistry()
+        wall = registry.histogram("wall_us", "wall time")
+        n = 20000
+        done = threading.Event()
+
+        def observe() -> None:
+            for i in range(n):
+                wall.observe(i * 1.37)
+            done.set()
+
+        worker = threading.Thread(target=observe)
+        worker.start()
+        while not done.is_set():
+            child = wall.labels()
+            assert sum(child.counts) <= n
+            parse_openmetrics(to_openmetrics(registry))
+        worker.join()
+        child = wall.labels()
+        assert child.count == sum(child.counts) == n
+        assert child.sum == sum(i * 1.37 for i in range(n))
 
 
 class TestRegistry:

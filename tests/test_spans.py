@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -15,6 +16,7 @@ from repro.obs import spans as spans_mod
 from repro.obs.chrometrace import ChromeTraceSink, validate_trace_events
 from repro.obs.events import SpanEvent, record_to_event
 from repro.obs.jsonl import JsonlTraceSink
+from repro.obs.metrics import MetricsRegistry, MetricsSink
 from repro.obs.openmetrics import (
     parse_openmetrics,
     render_openmetrics,
@@ -239,6 +241,44 @@ class TestZeroOverheadOff:
         m.set_trace(tee)
         assert m.trace is builder  # re-attaching keeps the id counters
 
+    def test_builder_and_counters_survive_a_growing_tee(self):
+        sim = build_simulation(SPEC)
+        sim.attach(StallAttribution())
+        builder = sim.machine.trace
+        assert isinstance(builder, SpanBuilder)
+        builder._next_trace, builder._next_span = 7, 19
+        sim.attach(MetricsRegistry())
+        sim.attach(_WantsSpans())
+        assert sim.machine.trace is builder
+        assert (builder._next_trace, builder._next_span) == (7, 19)
+        tee = builder.sink
+        assert isinstance(tee, TeeSink) and len(tee.sinks) == 3
+        assert sim.machine.bus.trace is tee
+        # Forwarded entry points follow the builder to the grown tee.
+        assert builder.tree == tee.tree and builder.sync == tee.sync
+
+    def test_tee_hands_trees_to_span_consumers_only(self):
+        """``tree`` reaches the attribution's fold and the collector's
+        default span loop; the metrics sink, which ignores spans, is
+        left out of the binding."""
+        machine = build_simulation(SPEC).machine
+        metrics = MetricsSink(MetricsRegistry(), machine)
+        att = StallAttribution(top_spans=1)
+        col = _WantsSpans()
+        assert TeeSink(metrics, att).tree == att.tree
+        assert TeeSink(col, metrics).tree == col.tree
+        tee = TeeSink(metrics, att, col)
+        tee.tree(100, 160, 1, 1, 2, 0x40, "r", "remote", 1,
+                 ["bus_arb", "remote"], [120, 160])
+        assert att.accesses == 1
+        assert att.report()["per_proc"][0]["phases"] == {
+            "r": {"bus_arb": 20, "remote": 40}}
+        assert [(e.span_id, e.parent_id, e.name, e.t, e.dur_ns)
+                for e in col.events] == [
+            (1, 0, "access", 100, 60), (2, 1, "bus_arb", 100, 20),
+            (3, 1, "remote", 120, 40)]
+        assert att.slowest_spans() == [col.events]
+
 
 class TestSpanEvents:
     def test_round_trip_through_records(self):
@@ -337,15 +377,11 @@ class TestStallAttribution:
 class TestOneFold:
     """Live spans and replayed span events go through the same fold."""
 
-    @pytest.mark.parametrize("top_spans", [0, 3, 10])
-    @pytest.mark.parametrize("machine", ["coma", "hcoma", "numa"])
-    def test_replayed_events_report_equal(self, machine, top_spans):
+    @staticmethod
+    def _live_and_replayed(spec: RunSpec, top_spans: int):
         live = StallAttribution(top_spans=top_spans)
         collected = _WantsSpans()
-        sim = build_simulation(
-            RunSpec(workload="synth_migratory", scale=0.05, machine=machine,
-                    n_processors=16, procs_per_node=4)
-        )
+        sim = build_simulation(spec)
         sim.attach(live)
         sim.attach(collected)
         sim.run()
@@ -353,8 +389,78 @@ class TestOneFold:
         for ev in collected.events:
             replayed.emit(ev)
         assert live.accesses > 0
+        return live, replayed
+
+    @pytest.mark.parametrize("top_spans", [0, 3, 10])
+    @pytest.mark.parametrize("machine", ["coma", "hcoma", "numa"])
+    def test_replayed_events_report_equal(self, machine, top_spans):
+        live, replayed = self._live_and_replayed(
+            RunSpec(workload="synth_migratory", scale=0.05, machine=machine,
+                    n_processors=16, procs_per_node=4), top_spans)
         assert replayed.report() == live.report()
         assert replayed.exemplars() == live.exemplars()
+
+    @pytest.mark.parametrize("top_spans", [0, 3])
+    def test_replay_flushes_the_pending_tree_at_barriers(self, top_spans):
+        """ocean_contig crosses a barrier every few accesses per processor:
+        a replayed tree still pending at an arrival must fold into the
+        workload phase before it, as it does live."""
+        live, replayed = self._live_and_replayed(
+            RunSpec(workload="ocean_contig", scale=0.05, procs_per_node=4),
+            top_spans)
+        report = live.report()
+        assert len(report["per_workload_phase"]) > 10
+        assert replayed.report() == report
+        assert replayed.exemplars() == live.exemplars()
+        assert (to_openmetrics(replayed.registry)
+                == to_openmetrics(live.registry))
+
+    def test_replay_folds_each_childs_own_duration(self):
+        """A replayed child one ns short leaves a gap before its sibling:
+        its phase takes its own duration and conservation reports the
+        missing ns, as a per-span fold would."""
+        live = StallAttribution()
+        collected = _WantsSpans()
+        sim = build_simulation(SPEC)
+        sim.attach(live)
+        sim.attach(collected)
+        sim.run()
+        events = list(collected.events)
+        i = next(i for i, (ev, nxt) in enumerate(zip(events, events[1:]))
+                 if ev.kind == nxt.kind == "span" and ev.parent_id
+                 and nxt.parent_id == ev.parent_id and ev.dur_ns > 1)
+        short = events[i] = dataclasses.replace(events[i],
+                                                dur_ns=events[i].dur_ns - 1)
+        replayed = StallAttribution()
+        for ev in events:
+            replayed.emit(ev)
+        phases = replayed.phase_ns[short.proc][short.op]
+        assert phases[short.name] == (
+            live.phase_ns[short.proc][short.op][short.name] - 1)
+        assert replayed.conservation_errors() == [
+            f"P{short.proc} {short.op}: phases sum to "
+            f"{sum(phases.values())} ns, roots total "
+            f"{live.root_ns[short.proc][short.op]} ns"]
+
+    def test_close_completes_the_public_sums_of_a_replay(self):
+        live = StallAttribution(top_spans=3)
+        collected = _WantsSpans()
+        sim = build_simulation(SPEC)
+        sim.attach(live)
+        sim.attach(collected)
+        sim.run()
+        events = collected.events
+        last = max(i for i, ev in enumerate(events) if ev.kind == "span")
+        replayed = StallAttribution(top_spans=3)
+        for ev in events[:last + 1]:
+            replayed.emit(ev)
+        # The last tree waits for a next root or a barrier, neither of
+        # which comes; close() folds it.
+        assert replayed.accesses == live.accesses - 1
+        replayed.close()
+        for name in ("accesses", "root_ns", "phase_ns", "line_ns",
+                     "wphase_ns", "reloc_count"):
+            assert getattr(replayed, name) == getattr(live, name), name
 
 
 class TestTimelineSampler:
